@@ -1,14 +1,6 @@
 //! Regenerates `results/BENCH_gen.json`: generation-stage throughput of
-//! the pruned (inverted n-gram index) prototype retrieval vs the full
-//! matrix sweep, plus the cold/warm end-to-end answer path, over the
-//! full three-database dev sweep.
-//!
-//! The pruned and full-sweep generators are run over every dev question
-//! and their emitted SQL candidate lists are compared for byte equality
-//! — the certified-pruning contract is that pruning can *never* change
-//! an answer, only skip work the certificate proves irrelevant. The
-//! certified/fallback split of the pruning certificate is reported so
-//! regressions in index selectivity are visible in the JSON trail.
+//! the full prototype-matrix sweep, plus the cold/warm end-to-end answer
+//! path, over the full three-database dev sweep.
 
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::{DbId, Lang, Split};
@@ -64,13 +56,10 @@ fn main() {
     }
     let warm = warm.elapsed();
 
-    // --- Stage sweep: full-sweep vs pruned generation, per database. ---
-    // Both paths run the identical per-question loop (same linked prompt
-    // schemas, same per-question RNGs); the only difference is whether
-    // the generator carries the prototype index.
+    // --- Stage sweep: per-question generation over the linked prompt
+    // schemas, per database, under each question's own RNG. ---
     let mut total = 0usize;
     let mut full_secs = 0.0f64;
-    let mut pruned_secs = 0.0f64;
     let mut per_db_counts: Vec<(DbId, usize)> = Vec::new();
     for db in DbId::ALL {
         let rt = system.runtime(db);
@@ -83,12 +72,9 @@ fn main() {
             .collect();
         let full_gen =
             SqlGenerator::with_matrix(&system.base, &rt.plugin, &rt.matrix, system.profile);
-        let pruned_gen =
-            SqlGenerator::with_matrix(&system.base, &rt.plugin, &rt.matrix, system.profile)
-                .with_index(&rt.proto_index);
 
         let t = Instant::now();
-        let full_out: Vec<Vec<String>> = qs
+        let out: Vec<Vec<String>> = qs
             .iter()
             .zip(&schemas)
             .map(|(q, s)| {
@@ -97,34 +83,15 @@ fn main() {
             })
             .collect();
         full_secs += t.elapsed().as_secs_f64();
+        std::hint::black_box(out);
 
-        let t = Instant::now();
-        let pruned_out: Vec<Vec<String>> = qs
-            .iter()
-            .zip(&schemas)
-            .map(|(q, s)| {
-                let mut rng = system.question_rng(db, q);
-                pruned_gen.generate(q, s, &rt.values, cfg, &mut rng)
-            })
-            .collect();
-        pruned_secs += t.elapsed().as_secs_f64();
-
-        assert_eq!(
-            full_out, pruned_out,
-            "pruned generation must be byte-identical to the full sweep ({db})"
-        );
         total += qs.len();
         per_db_counts.push((db, qs.len()));
     }
-    let (certified, fallback): (u64, u64) = DbId::ALL
-        .into_iter()
-        .map(|db| system.runtime(db).proto_index.stats.snapshot())
-        .fold((0, 0), |(c, f), (dc, df)| (c + dc, f + df));
 
     let gen_qps = |secs: f64| total as f64 / secs;
     let cold_qps = total as f64 / cold.as_secs_f64();
     let warm_qps = total as f64 / warm.as_secs_f64();
-    let gen_speedup = full_secs / pruned_secs;
     let speedup_vs_pr4 = cold_qps / PR4_BATCHED_COLD_QPS;
 
     println!("full dev sweep: {total} questions, batch size {batch}");
@@ -132,16 +99,6 @@ fn main() {
         "generation full sweep:  {:>9.1} q/s  ({:.1} us/q)",
         gen_qps(full_secs),
         1e6 * full_secs / total as f64
-    );
-    println!(
-        "generation pruned:      {:>9.1} q/s  ({:.1} us/q)",
-        gen_qps(pruned_secs),
-        1e6 * pruned_secs / total as f64
-    );
-    println!("generation speedup (pruned/full): {gen_speedup:.2}x");
-    println!(
-        "pruning certificate: {certified} certified, {fallback} full-sweep fallbacks ({:.1}% certified)",
-        100.0 * certified as f64 / (certified + fallback).max(1) as f64
     );
     println!("end-to-end batched cold: {cold_qps:>8.1} q/s  ({cold:.2?})");
     println!("end-to-end batched warm: {warm_qps:>8.1} q/s  ({warm:.2?})");
@@ -152,11 +109,7 @@ fn main() {
     let json = format!(
         "{{\n  \"sweep\": {{\"questions\": {total}, \"per_db\": {{{}}}}},\n  \
          \"batch\": {batch},\n  \"threads\": 1,\n  \"generation_stage\": {{\n    \
-         \"full_sweep\": {{\"wall_secs\": {:.4}, \"questions_per_sec\": {:.1}}},\n    \
-         \"pruned\": {{\"wall_secs\": {:.4}, \"questions_per_sec\": {:.1}}},\n    \
-         \"speedup\": {:.2},\n    \
-         \"pruned_equals_full\": true,\n    \
-         \"certified\": {certified},\n    \"fallback\": {fallback}\n  }},\n  \
+         \"full_sweep\": {{\"wall_secs\": {:.4}, \"questions_per_sec\": {:.1}}}\n  }},\n  \
          \"answer_path\": {{\n    \
          \"batched_cold\": {{\"wall_secs\": {:.3}, \"questions_per_sec\": {:.1}}},\n    \
          \"batched_warm\": {{\"wall_secs\": {:.3}, \"questions_per_sec\": {:.1}}}\n  }},\n  \
@@ -169,9 +122,6 @@ fn main() {
             .join(", "),
         full_secs,
         gen_qps(full_secs),
-        pruned_secs,
-        gen_qps(pruned_secs),
-        gen_speedup,
         cold.as_secs_f64(),
         cold_qps,
         warm.as_secs_f64(),

@@ -119,8 +119,7 @@ impl FinSql {
             .collect();
         let mut rngs: Vec<StdRng> =
             questions.iter().map(|q| self.question_rng(db, q)).collect();
-        let generator = SqlGenerator::with_matrix(&self.base, &rt.plugin, &rt.matrix, self.profile)
-            .with_index(&rt.proto_index);
+        let generator = SqlGenerator::with_matrix(&self.base, &rt.plugin, &rt.matrix, self.profile);
         let gen_start = Instant::now();
         let sampled = generator.generate_batch(
             &items,

@@ -126,7 +126,7 @@ impl FingerprintBuilder {
 /// Eviction/admission policy of an [`AnswerCache`].
 ///
 /// The policy is deliberately **not** part of [`ConfigFingerprint`]:
-/// like `link_mode`, toggling it cannot change any answer — entries
+/// toggling it cannot change any answer — entries
 /// store the deterministic answer for their key, so a policy can only
 /// decide *which* keys stay resident (hit vs recompute), never *what*
 /// is returned for a key.

@@ -157,8 +157,8 @@ impl MultiDbOutcome {
 /// Cross-database sharded evaluation over **one** work queue: the dev
 /// examples of all three databases are interleaved and a single worker
 /// pool drains them, so no worker idles at a database boundary (the tail
-/// barrier the per-database loop of [`evaluate_ex_all`] pays three
-/// times). `predict` must be deterministic per `(db, question)`;
+/// barrier that calling [`evaluate_ex_parallel`] once per database pays
+/// three times). `predict` must be deterministic per `(db, question)`;
 /// correctness is then order-independent and the per-database counts
 /// equal the serial path's exactly. `limit_per_db` truncates each dev
 /// set (for tests); `workers == 0` sizes the pool to the available
@@ -340,33 +340,6 @@ pub fn evaluate_ex_all_limit<S: AsRef<str>>(
     for (di, db) in DbId::ALL.into_iter().enumerate() {
         outcome.per_db[di] =
             evaluate_ex_limit(ds, db, lang, limit_per_db, |q| predict(db, q));
-    }
-    outcome
-}
-
-/// Parallel pooled evaluation over every database, the counterpart of
-/// [`evaluate_ex_all`]. Runs on the interleaved cross-database queue —
-/// one worker pool over all three dev sets, no per-database tail.
-pub fn evaluate_ex_all_parallel<S: AsRef<str>>(
-    ds: &BullDataset,
-    lang: Lang,
-    workers: usize,
-    predict: impl Fn(DbId, &str) -> S + Sync,
-) -> EvalOutcome {
-    evaluate_ex_all_interleaved(ds, lang, workers, None, predict).pooled()
-}
-
-/// Evaluates over every database and pools the counts (the headline EX of
-/// Tables 4/5 covers all three dev sets).
-pub fn evaluate_ex_all<S: AsRef<str>>(
-    ds: &BullDataset,
-    lang: Lang,
-    mut predict: impl FnMut(DbId, &str) -> S,
-) -> EvalOutcome {
-    let mut outcome = EvalOutcome::default();
-    for db in DbId::ALL {
-        let per_db = evaluate_ex(ds, db, lang, |q| predict(db, q));
-        outcome.absorb(&per_db);
     }
     outcome
 }

@@ -11,8 +11,8 @@ use crossenc::{CrossEncoder, InferenceMode, LinkExample, SchemaFeatureMatrix, Tr
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simllm::{
-    BaseModelProfile, EmbeddingModel, GenConfig, LoraPlugin, PluginHub, PrototypeIndex,
-    PrototypeMatrix, SqlGenerator, TrainOpts, ValueIndex,
+    BaseModelProfile, EmbeddingModel, GenConfig, LoraPlugin, PluginHub, PrototypeMatrix,
+    SqlGenerator, TrainOpts, ValueIndex,
 };
 use sqlengine::{DataEpoch, Database};
 use sqlkit::catalog::CatalogSchema;
@@ -35,19 +35,11 @@ pub struct FinSqlConfig {
     /// Sampling temperature.
     pub temperature: f64,
     pub seed: u64,
-    /// How the per-question path runs Cross-Encoder inference over the
-    /// schema's tables. Serial and parallel rankings are identical (and
-    /// the batched path's matrix sweep matches both bit for bit), so
-    /// this knob trades thread fan-out against per-question latency
-    /// without ever affecting an answer — which is why it is *not* part
-    /// of the config fingerprint.
-    pub link_mode: InferenceMode,
     /// The eviction/admission policy of any [`crate::cache::AnswerCache`]
-    /// built for this system. Like `link_mode`, deliberately *not*
-    /// fingerprinted: a policy decides which deterministic answers stay
-    /// resident (hit vs recompute), never what an answer is, so toggling
-    /// it must keep every cache entry valid (`fingerprint_prop` pins
-    /// this down).
+    /// built for this system. Deliberately *not* fingerprinted: a policy
+    /// decides which deterministic answers stay resident (hit vs
+    /// recompute), never what an answer is, so toggling it must keep
+    /// every cache entry valid (`fingerprint_prop` pins this down).
     pub cache_policy: crate::cache::CachePolicy,
 }
 
@@ -63,7 +55,6 @@ impl FinSqlConfig {
             n_candidates: 5,
             temperature: 0.7,
             seed: 0xF1A5,
-            link_mode: InferenceMode::Parallel,
             cache_policy: crate::cache::CachePolicy::SlruTinyLfu,
         }
     }
@@ -85,11 +76,6 @@ pub struct DbRuntime {
     /// links all its questions in one [`CrossEncoder::link_batch`]
     /// sweep instead of re-hashing the schema per question.
     pub link_matrix: SchemaFeatureMatrix,
-    /// Inverted n-gram index over the plugin's prototypes (skeletons +
-    /// the train questions each prototype was distilled from): prunes
-    /// the retrieval sweep to a certified candidate set without ever
-    /// changing a ranking (see [`simllm::index`]).
-    pub proto_index: PrototypeIndex,
     /// The data epoch of the database this runtime's data-derived
     /// artifacts were built from (see [`sqlengine::DataEpoch`]). Mixed
     /// into the config fingerprint, so every cache key is stamped with
@@ -98,8 +84,8 @@ pub struct DbRuntime {
     /// and every pre-append cache entry becomes structurally
     /// unreachable. Of the runtime's derived artifacts only `values`
     /// depends on row data; `schema`/`views`/`link_matrix` are pure
-    /// functions of the (immutable) catalog and `matrix`/`proto_index`
-    /// of the plugin, so absorbing an append refreshes `values` and
+    /// functions of the (immutable) catalog and `matrix` of the
+    /// plugin, so absorbing an append refreshes `values` and
     /// this epoch and nothing else.
     pub epoch: DataEpoch,
 }
@@ -113,7 +99,6 @@ impl DbRuntime {
         plugin: Arc<LoraPlugin>,
     ) -> Self {
         let matrix = PrototypeMatrix::build(&plugin.prototypes);
-        let proto_index = PrototypeIndex::build(&index_docs(ds, db, lang, &plugin));
         let views = crossenc::model::SchemaViews::build(ds.db(db).catalog(), lang);
         let link_matrix = linker.schema_matrix(&views);
         DbRuntime {
@@ -124,29 +109,9 @@ impl DbRuntime {
             plugin,
             matrix,
             link_matrix,
-            proto_index,
             epoch: ds.db(db).epoch(),
         }
     }
-}
-
-/// One retrieval document per prototype: its skeleton plus the
-/// train-split questions whose gold SQL reduces to that skeleton — the
-/// same texts the prototype's centroid was averaged from.
-fn index_docs(ds: &BullDataset, db: DbId, lang: Lang, plugin: &LoraPlugin) -> Vec<Vec<String>> {
-    let mut docs: Vec<Vec<String>> =
-        plugin.prototypes.iter().map(|p| vec![p.skeleton.clone()]).collect();
-    for e in ds.examples_for(db, Split::Train) {
-        let Some(skeleton) = sqlkit::skeleton_of(&e.sql) else { continue };
-        // Prototypes are sorted by skeleton, so membership is a binary
-        // search rather than a scan.
-        if let Ok(j) =
-            plugin.prototypes.binary_search_by(|p| p.skeleton.as_str().cmp(skeleton.as_str()))
-        {
-            docs[j].push(e.question(lang).to_string());
-        }
-    }
-    docs
 }
 
 /// A fully-built FinSQL system for one register, covering all three
@@ -263,14 +228,10 @@ impl FinSql {
     }
 
     /// Replaces a database's plugin (used by the few-shot experiments)
-    /// and rebuilds its prototype scoring matrix and retrieval index to
-    /// match. The swapped-in index is skeleton-only (the training
-    /// questions behind an arbitrary plugin are not available here) —
-    /// weaker pruning recall, identical answers.
+    /// and rebuilds its prototype scoring matrix to match.
     pub fn set_plugin(&mut self, db: DbId, plugin: Arc<LoraPlugin>) {
         let r = &mut self.runtimes[db.index()];
         r.matrix = PrototypeMatrix::build(&plugin.prototypes);
-        r.proto_index = PrototypeIndex::from_prototypes(&plugin.prototypes);
         r.plugin = plugin;
     }
 
@@ -330,15 +291,13 @@ impl FinSql {
     ) -> String {
         let total_start = std::time::Instant::now();
         let rt = self.runtime(db);
-        // 1. Schema linking (mode from config) → concise prompt schema.
+        // 1. Schema linking → concise prompt schema.
         let (linked, link_time) =
-            self.linker.link_timed(question, &rt.views, self.config.link_mode);
+            self.linker.link_timed(question, &rt.views, InferenceMode::Parallel);
         let prompt_schema = linked.project(&rt.schema, self.config.k_tables, self.config.k_columns);
         // 2. Sample n candidates from the adapted model, scoring against
         // the runtime's prebuilt prototype matrix.
-        let generator =
-            SqlGenerator::with_matrix(&self.base, &rt.plugin, &rt.matrix, self.profile)
-                .with_index(&rt.proto_index);
+        let generator = SqlGenerator::with_matrix(&self.base, &rt.plugin, &rt.matrix, self.profile);
         let gen_start = std::time::Instant::now();
         let (candidates, counters) = generator.generate_with_counters(
             question,
@@ -489,11 +448,7 @@ pub fn question_rng(seed: u64, db: DbId, question: &str) -> StdRng {
 /// Pushes every [`FinSqlConfig`] knob into a fingerprint, each in its own
 /// fixed-width slot so any single mutation changes the result.
 ///
-/// [`FinSqlConfig::link_mode`] is deliberately absent: serial, parallel
-/// and matrix-batched linking produce bit-identical rankings, so the
-/// mode cannot affect an answer and toggling it must keep cache entries
-/// valid (`fingerprint_prop` pins this down).
-/// [`FinSqlConfig::cache_policy`] is absent for the same reason: an
+/// [`FinSqlConfig::cache_policy`] is deliberately absent: an
 /// eviction/admission policy decides hit-vs-recompute for answers that
 /// are deterministic per key, so it can never change what is served —
 /// splitting keys on it would only discard warm entries for nothing.

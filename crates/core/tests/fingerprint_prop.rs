@@ -10,7 +10,6 @@
 
 use augment::AugmentationFlags;
 use bull::{DbId, Lang};
-use crossenc::InferenceMode;
 use finsql_core::cache::{AnswerCache, CachePolicy, FingerprintBuilder};
 use finsql_core::pipeline::{fingerprint_config, fingerprint_profile, fingerprint_runtime};
 use finsql_core::{CalibrationConfig, FinSqlConfig};
@@ -23,10 +22,6 @@ fn lang() -> impl Strategy<Value = Lang> {
     prop_oneof![Just(Lang::En), Just(Lang::Cn)]
 }
 
-fn link_mode() -> impl Strategy<Value = InferenceMode> {
-    prop_oneof![Just(InferenceMode::Serial), Just(InferenceMode::Parallel)]
-}
-
 fn cache_policy() -> impl Strategy<Value = CachePolicy> {
     prop_oneof![Just(CachePolicy::Lru), Just(CachePolicy::SlruTinyLfu)]
 }
@@ -36,7 +31,6 @@ fn config() -> impl Strategy<Value = FinSqlConfig> {
         (lang(), any::<bool>(), any::<bool>(), any::<bool>(), 0usize..10, 0u64..1000),
         (any::<bool>(), any::<bool>(), any::<bool>()),
         (1usize..10, 1usize..16, 1usize..9, 0.0f64..2.0, 0u64..(u64::MAX / 2)),
-        link_mode(),
         cache_policy(),
     )
         .prop_map(
@@ -44,7 +38,6 @@ fn config() -> impl Strategy<Value = FinSqlConfig> {
                 (lang, cot, synonyms, skeleton, synonyms_per_question, aug_seed),
                 (repair, self_consistency, alignment),
                 (k_tables, k_columns, n_candidates, temperature, seed),
-                link_mode,
                 cache_policy,
             )| FinSqlConfig {
                 lang,
@@ -61,7 +54,6 @@ fn config() -> impl Strategy<Value = FinSqlConfig> {
                 n_candidates,
                 temperature,
                 seed,
-                link_mode,
                 cache_policy,
             },
         )
@@ -126,21 +118,8 @@ proptest! {
         prop_assert_eq!(fp(&c), fp(&c));
     }
 
-    /// `link_mode` is deliberately *not* an answer-affecting knob: every
-    /// inference mode produces bit-identical rankings, so toggling it
-    /// must keep cached answers valid — the fingerprint must not move.
-    #[test]
-    fn link_mode_does_not_move_the_fingerprint(c in config()) {
-        let mut flipped = c;
-        flipped.link_mode = match c.link_mode {
-            InferenceMode::Serial => InferenceMode::Parallel,
-            InferenceMode::Parallel => InferenceMode::Serial,
-        };
-        prop_assert_eq!(fp(&c), fp(&flipped));
-    }
-
-    /// `cache_policy` is deliberately *not* an answer-affecting knob
-    /// either: the eviction/admission policy can change only *which*
+    /// `cache_policy` is deliberately *not* an answer-affecting knob:
+    /// the eviction/admission policy can change only *which*
     /// entries stay resident — hit or miss — never an answer's bytes, so
     /// flipping it must keep every cached answer valid.
     #[test]

@@ -22,14 +22,12 @@ use crate::source::SourceFile;
 /// absent from the fingerprint. Each entry needs a property test pinning
 /// the claim down (see `crates/core/tests/fingerprint_prop.rs`):
 ///
-/// - `link_mode`: serial and parallel schema linking produce
-///   bit-identical rankings (`link_mode_does_not_move_the_fingerprint`).
 /// - `cache_policy`: the eviction/admission policy decides which entries
 ///   stay resident — it can turn a hit into a miss, never change an
 ///   answer's bytes (`cache_policy_does_not_move_the_fingerprint`, plus
 ///   the cross-policy differential suite in
 ///   `crates/core/tests/cache_policy_prop.rs`).
-pub const NOT_FINGERPRINTED: &[&str] = &["link_mode", "cache_policy"];
+pub const NOT_FINGERPRINTED: &[&str] = &["cache_policy"];
 
 /// `DbRuntime` fields legally absent from `config_fingerprint` because
 /// they are pure functions of state that *is* fingerprinted — rebuild
@@ -38,13 +36,13 @@ pub const NOT_FINGERPRINTED: &[&str] = &["link_mode", "cache_policy"];
 ///
 /// - `schema`, `views`, `link_matrix`: derived from the immutable
 ///   database catalog (fixed per `DbId`, which is fingerprinted).
-/// - `matrix`, `proto_index`: derived from the plugin's prototypes
-///   (the plugin identity is fingerprinted).
+/// - `matrix`: derived from the plugin's prototypes (the plugin identity
+///   is fingerprinted).
 /// - `values`: derived from row data — covered by `epoch`, which
 ///   advances on every append (`FinSql::absorb_appends` refreshes both
 ///   together; `crates/core/tests/live_equality.rs` proves the pairing).
 pub const RUNTIME_NOT_FINGERPRINTED: &[&str] =
-    &["schema", "views", "values", "matrix", "link_matrix", "proto_index"];
+    &["schema", "views", "values", "matrix", "link_matrix"];
 
 /// Checks fingerprint coverage of the config struct/fn in `file` (the
 /// real pass hands this `crates/core/src/pipeline.rs`; fixture tests
@@ -223,7 +221,6 @@ mod tests {
     const COVERED: &str = "\
 pub struct FinSqlConfig {
     pub k_tables: usize,
-    pub link_mode: InferenceMode,
     pub cache_policy: CachePolicy,
 }
 pub fn fingerprint_config(b: FingerprintBuilder, config: &FinSqlConfig) -> FingerprintBuilder {
@@ -249,7 +246,7 @@ pub fn fingerprint_config(b: FingerprintBuilder, config: &FinSqlConfig) -> Finge
     fn allowlisted_but_pushed_is_stale() {
         let src = COVERED.replace(
             "b.push_usize(config.k_tables)",
-            "b.push_usize(config.k_tables).push_usize(config.link_mode as usize)",
+            "b.push_usize(config.k_tables).push_usize(config.cache_policy as usize)",
         );
         let f = check(&SourceFile::parse("p.rs", "core", &src));
         assert_eq!(f.len(), 1, "{f:?}");

@@ -1,9 +1,8 @@
 //! Fixture: every FinSqlConfig field fingerprinted except the
-//! allowlisted `link_mode` and `cache_policy`. Not compiled — parsed by `tests/fixtures.rs`.
+//! allowlisted `cache_policy`. Not compiled — parsed by `tests/fixtures.rs`.
 pub struct FinSqlConfig {
     pub k_tables: usize,
     pub seed: u64,
-    pub link_mode: InferenceMode,
     pub cache_policy: CachePolicy,
 }
 

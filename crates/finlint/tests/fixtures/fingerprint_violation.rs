@@ -4,7 +4,6 @@
 pub struct FinSqlConfig {
     pub k_tables: usize,
     pub synthetic_knob: usize,
-    pub link_mode: InferenceMode,
     pub cache_policy: CachePolicy,
 }
 

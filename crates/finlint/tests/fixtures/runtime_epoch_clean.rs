@@ -10,7 +10,6 @@ pub struct DbRuntime {
     pub plugin: Arc<LoraPlugin>,
     pub matrix: PrototypeMatrix,
     pub link_matrix: SchemaFeatureMatrix,
-    pub proto_index: PrototypeIndex,
     pub epoch: DataEpoch,
 }
 

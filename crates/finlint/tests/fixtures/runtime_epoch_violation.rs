@@ -11,7 +11,6 @@ pub struct DbRuntime {
     pub plugin: Arc<LoraPlugin>,
     pub matrix: PrototypeMatrix,
     pub link_matrix: SchemaFeatureMatrix,
-    pub proto_index: PrototypeIndex,
     pub tick_buffer: Vec<Row>,
     pub epoch: DataEpoch,
 }

@@ -3,7 +3,6 @@
 
 use crate::embed::{dot, normalize, EmbeddingModel, EMBED_DIM};
 use crate::hub::{LoraPlugin, Prototype};
-use crate::index::PrototypeIndex;
 use crate::noise::corrupt;
 use crate::profiles::BaseModelProfile;
 use crate::slots::{FillOptions, SlotFiller};
@@ -72,45 +71,6 @@ pub struct GenCounters {
 pub struct PrototypeMatrix {
     /// `n × EMBED_DIM` row-major, one unit-norm row per prototype.
     rows: Vec<f32>,
-    /// `n × EMBED_DIM` row-major int8 quantisation of `rows`:
-    /// `rows[j][d] = scales[j] · quant[j][d] + r` with `|r| ≤ scales[j]/2`,
-    /// so `q · row_j  ≤  scales[j] · (q · quant_j) + (scales[j]/2) · ‖q‖₁`
-    /// — a per-row upper bound on the exact dot product that tracks the
-    /// true score to within `(scales[j]/2)·‖q‖₁` (≈0.01 for unit-norm
-    /// embeddings here). That residual-style bound is the certificate
-    /// behind pruned ranking; a whole-row Cauchy–Schwarz bound is useless
-    /// on unit-norm rows (every row would bound at ‖q‖ ≈ 1).
-    quant: Vec<i8>,
-    /// Per-row quantisation step: `scales[j] = max_d |rows[j][d]| / 127`.
-    scales: Vec<f32>,
-}
-
-/// Multiplicative slack on the quantised upper bound, covering the f64
-/// bound accumulation error.
-const BOUND_SLACK: f64 = 1e-5;
-/// Absolute slack the bound must carry to dominate the *f32* dot-product
-/// sweep it certifies against: sequential f32 accumulation of 64 terms
-/// with `Σ|q_d·row_d| ≤ ‖q‖·‖row‖ = 1` can overshoot the true dot by up
-/// to `63·ε_f32 ≈ 3.8e-6` absolutely, independent of the score's
-/// magnitude. 1e-5 covers that with margin and is far below the observed
-/// top1→top2 margins (~0.25).
-const BOUND_EPS: f64 = 1e-5;
-
-/// Quantises one unit-norm row to int8, returning `(scale, codes)` with
-/// `row[d] = scale·codes[d] + r`, `|r| ≤ scale/2` (up to one f32 ulp,
-/// absorbed by [`BOUND_SLACK`]). An all-zero row gets scale 0 and codes 0
-/// — its bound is exactly the `BOUND_EPS` floor, and its true dot is 0.
-fn quantize_row(row: &[f32]) -> (f32, [i8; EMBED_DIM]) {
-    let max_abs = row.iter().fold(0.0f32, |m, x| m.max(x.abs()));
-    let mut codes = [0i8; EMBED_DIM];
-    if max_abs == 0.0 {
-        return (0.0, codes);
-    }
-    let scale = max_abs / 127.0;
-    for (c, x) in codes.iter_mut().zip(row) {
-        *c = ((*x as f64 / scale as f64).round() as i32).clamp(-127, 127) as i8;
-    }
-    (scale, codes)
 }
 
 impl PrototypeMatrix {
@@ -123,15 +83,7 @@ impl PrototypeMatrix {
             rows.resize(start + EMBED_DIM, 0.0);
             normalize(&mut rows[start..start + EMBED_DIM]);
         }
-        let n = prototypes.len();
-        let mut quant = Vec::with_capacity(n * EMBED_DIM);
-        let mut scales = Vec::with_capacity(n);
-        for row in rows.chunks_exact(EMBED_DIM) {
-            let (scale, codes) = quantize_row(row);
-            scales.push(scale);
-            quant.extend_from_slice(&codes);
-        }
-        PrototypeMatrix { rows, quant, scales }
+        PrototypeMatrix { rows }
     }
 
     /// Number of prototype rows.
@@ -155,12 +107,6 @@ impl PrototypeMatrix {
         }
     }
 
-    /// Exact score of one row — the same `dot` the full sweep runs, so a
-    /// pruned path scoring only candidates stays bit-identical.
-    fn score_of(&self, emb: &[f32], j: usize) -> f32 {
-        dot(emb, &self.rows[j * EMBED_DIM..(j + 1) * EMBED_DIM])
-    }
-
     /// Prototype indices sorted by descending similarity to a unit-norm
     /// embedding, ties broken by index.
     pub fn ranked(&self, emb: &[f32]) -> Vec<(usize, f32)> {
@@ -169,70 +115,6 @@ impl PrototypeMatrix {
         let mut ranked: Vec<(usize, f32)> = scores.into_iter().enumerate().collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked
-    }
-
-    /// Largest quantised upper bound over every row *not* in `exclude`
-    /// (sorted ascending): `max_j scales[j]·(q·quant_j + ‖q‖₁/2)`,
-    /// inflated by [`BOUND_SLACK`]/[`BOUND_EPS`] so it dominates the f32
-    /// dot the exact sweep would compute for any of those rows.
-    /// `f64::NEG_INFINITY` when all rows are excluded.
-    fn max_unseen_bound(&self, emb: &[f32], l1_half: f64, exclude: &[usize]) -> f64 {
-        let n = self.len();
-        let mut max = f64::NEG_INFINITY;
-        let mut skip = exclude.iter().peekable();
-        for j in 0..n {
-            if skip.peek().is_some_and(|&&e| e == j) {
-                skip.next();
-                continue;
-            }
-            let codes = &self.quant[j * EMBED_DIM..(j + 1) * EMBED_DIM];
-            // finlint: ordered — fixed slice order; the fold feeds an
-            // upper bound that is inflated past any reassociation error.
-            let mut approx = 0.0f64;
-            for (q, c) in emb.iter().zip(codes) {
-                approx += (*q as f64) * (*c as f64);
-            }
-            let ub = (self.scales[j] as f64) * (approx + l1_half);
-            if ub > max {
-                max = ub;
-            }
-        }
-        if max == f64::NEG_INFINITY {
-            max
-        } else {
-            max.abs() * BOUND_SLACK + max + BOUND_EPS
-        }
-    }
-
-    /// Pruned top-2 ranking: scores only `candidates` (sorted ascending,
-    /// deduplicated) exactly, and returns the two best — bit-identical to
-    /// `self.ranked(emb)[..2]` — **only** when the certificate holds: the
-    /// exact second-best candidate score strictly dominates the largest
-    /// upper bound of every unscored row, so no unseen prototype can
-    /// displace either returned entry or perturb their margin. `None`
-    /// means uncertified; the caller must run the full sweep.
-    pub fn ranked_pruned(&self, emb: &[f32], candidates: &[usize]) -> Option<Vec<(usize, f32)>> {
-        let n = self.len();
-        if n < 2 || candidates.len() < 2 || candidates.last().is_some_and(|&j| j >= n) {
-            return None;
-        }
-        let mut scored: Vec<(usize, f32)> =
-            candidates.iter().map(|&j| (j, self.score_of(emb, j))).collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(2);
-        if candidates.len() == n {
-            // Nothing unseen: the candidate sweep *is* the full sweep.
-            return Some(scored);
-        }
-        // finlint: ordered — fixed slice order; feeds the slack-inflated
-        // certificate bound, not a score.
-        let l1_half: f64 = emb.iter().map(|x| x.abs() as f64).sum::<f64>() * 0.5;
-        let unseen = self.max_unseen_bound(emb, l1_half, candidates);
-        if (scored[1].1 as f64) > unseen {
-            Some(scored)
-        } else {
-            None
-        }
     }
 }
 
@@ -252,11 +134,6 @@ pub struct SqlGenerator<'a> {
     /// The plugin's prototype matrix — borrowed when the caller keeps one
     /// per runtime, owned (built on the spot) otherwise.
     matrix: Option<Cow<'a, PrototypeMatrix>>,
-    /// Optional inverted n-gram index over the plugin's prototypes:
-    /// prunes the ranking sweep to a certified candidate set, falling
-    /// back to the full sweep whenever the certificate fails — rankings
-    /// (and therefore answers) are bit-identical either way.
-    index: Option<&'a PrototypeIndex>,
 }
 
 impl<'a> SqlGenerator<'a> {
@@ -270,7 +147,7 @@ impl<'a> SqlGenerator<'a> {
         profile: &'a BaseModelProfile,
     ) -> Self {
         let matrix = plugin.map(|p| Cow::Owned(PrototypeMatrix::build(&p.prototypes)));
-        SqlGenerator { base, plugin, profile, matrix, index: None }
+        SqlGenerator { base, plugin, profile, matrix }
     }
 
     /// Creates a generator around a prebuilt prototype matrix (which must
@@ -281,21 +158,7 @@ impl<'a> SqlGenerator<'a> {
         matrix: &'a PrototypeMatrix,
         profile: &'a BaseModelProfile,
     ) -> Self {
-        SqlGenerator {
-            base,
-            plugin: Some(plugin),
-            profile,
-            matrix: Some(Cow::Borrowed(matrix)),
-            index: None,
-        }
-    }
-
-    /// Attaches a prebuilt [`PrototypeIndex`] (built over the same
-    /// plugin's prototypes as the matrix) so retrieval sweeps are pruned
-    /// to certified candidate sets.
-    pub fn with_index(mut self, index: &'a PrototypeIndex) -> Self {
-        self.index = Some(index);
-        self
+        SqlGenerator { base, plugin: Some(plugin), profile, matrix: Some(Cow::Borrowed(matrix)) }
     }
 
     /// Generates `cfg.n_samples` candidate SQL strings for a question
@@ -379,21 +242,7 @@ impl<'a> SqlGenerator<'a> {
             let texts: Vec<&str> = items.iter().map(|i| i.question).collect();
             let lora = self.plugin.map(|p| &p.lora);
             let embs = self.base.embed_batch(&texts, lora);
-            // Candidate sets are memoised across the micro-batch by term
-            // signature: questions touching the same posting lists (the
-            // common case for skeleton-homogeneous batches) reuse one
-            // weighted accumulation instead of re-walking the index.
-            let mut memo: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-            embs.iter()
-                .zip(&texts)
-                .map(|(emb, text)| {
-                    let cands = self.index.map(|ix| {
-                        let sig = ix.terms(text);
-                        memo.entry(sig).or_insert_with_key(|sig| ix.candidates(sig)).clone()
-                    });
-                    self.rank_embedding(emb, cands.as_deref())
-                })
-                .collect()
+            embs.iter().map(|emb| self.rank_embedding(emb)).collect()
         } else {
             vec![Vec::new(); items.len()]
         };
@@ -467,27 +316,13 @@ impl<'a> SqlGenerator<'a> {
     fn ranked_prototypes(&self, question: &str) -> Vec<(usize, f32)> {
         let Some(plugin) = self.plugin else { return Vec::new() };
         let emb = self.base.embed(question, Some(&plugin.lora));
-        let cands = self.index.map(|ix| ix.candidates(&ix.terms(question)));
-        self.rank_embedding(&emb, cands.as_deref())
+        self.rank_embedding(&emb)
     }
 
     /// Ranks a precomputed unit-norm embedding against the prototype
-    /// matrix. With an index attached and a non-empty candidate set, the
-    /// pruned certified top-2 path is tried first; any failure — empty
-    /// candidates, uncertified bound — falls back to the full sweep, so
-    /// the entries consumed downstream are bit-identical either way.
-    fn rank_embedding(&self, emb: &[f32], candidates: Option<&[usize]>) -> Vec<(usize, f32)> {
-        let Some(m) = &self.matrix else { return Vec::new() };
-        if let (Some(ix), Some(cands)) = (self.index, candidates) {
-            if !cands.is_empty() {
-                if let Some(top2) = m.ranked_pruned(emb, cands) {
-                    ix.stats.record_certified();
-                    return top2;
-                }
-            }
-            ix.stats.record_fallback();
-        }
-        m.ranked(emb)
+    /// matrix with the full dot-product sweep.
+    fn rank_embedding(&self, emb: &[f32]) -> Vec<(usize, f32)> {
+        self.matrix.as_ref().map_or_else(Vec::new, |m| m.ranked(emb))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -723,66 +558,6 @@ mod tests {
         let mut fresh = Vec::new();
         small.scores_into(&emb, &mut fresh);
         assert_eq!(buf, fresh);
-    }
-
-    #[test]
-    fn indexed_generation_is_bitwise_identical() {
-        // The pruned retrieval path must never change an emitted byte:
-        // either the candidate top-2 is certified exact, or the
-        // generator falls back to the full sweep.
-        let base = EmbeddingModel::pretrained(42);
-        let plugin = plugin(&base);
-        let s = schema();
-        let database = db();
-        let values = ValueIndex::build(&database);
-        // Index documents: each prototype's skeleton plus the train
-        // questions that share its skeleton — same recipe the pipeline
-        // uses.
-        let mut examples = Vec::new();
-        for i in 0..15 {
-            examples.push((
-                format!("how many funds have fund type kind{i}"),
-                format!("SELECT COUNT(*) FROM fund WHERE ftype = 'k{i}'"),
-            ));
-            examples.push((
-                format!("what is the average return rate of type kind{i}"),
-                format!("SELECT AVG(ret) FROM fund WHERE ftype = 'k{i}'"),
-            ));
-        }
-        let docs: Vec<Vec<String>> = plugin
-            .prototypes
-            .iter()
-            .map(|p| {
-                let mut doc = vec![p.skeleton.clone()];
-                for (q, sql) in &examples {
-                    if sqlkit::skeleton_of(sql).as_deref() == Some(p.skeleton.as_str()) {
-                        doc.push(q.clone());
-                    }
-                }
-                doc
-            })
-            .collect();
-        let index = crate::index::PrototypeIndex::build(&docs);
-        let plain = SqlGenerator::new(&base, Some(&plugin), &LLAMA2_13B);
-        let pruned = SqlGenerator::new(&base, Some(&plugin), &LLAMA2_13B).with_index(&index);
-        let cfg = GenConfig { n_samples: 5, temperature: 0.9, skeleton_temperature: None };
-        for (i, q) in [
-            "how many funds have fund type bond fund",
-            "what is the average return rate of type stock fund",
-            "how many funds have fund type kind7",
-            "completely unrelated zz qq xx",
-        ]
-        .iter()
-        .enumerate()
-        {
-            let mut r1 = StdRng::seed_from_u64(500 + i as u64);
-            let mut r2 = StdRng::seed_from_u64(500 + i as u64);
-            let a = plain.generate_with_counters(q, &s, &values, cfg, &mut r1);
-            let b = pruned.generate_with_counters(q, &s, &values, cfg, &mut r2);
-            assert_eq!(a, b, "indexed generation diverged for {q:?}");
-        }
-        let (certified, fallback) = index.stats.snapshot();
-        assert!(certified + fallback > 0, "index was consulted");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 pub mod embed;
 pub mod generator;
 pub mod hub;
-pub mod index;
 pub mod lora;
 pub mod noise;
 pub mod profiles;
@@ -44,7 +43,6 @@ pub mod values;
 pub use embed::EmbeddingModel;
 pub use generator::{BatchItem, GenConfig, GenCounters, PrototypeMatrix, SqlGenerator};
 pub use hub::{LoraPlugin, PluginHub};
-pub use index::PrototypeIndex;
 pub use lora::LoraModule;
 pub use profiles::BaseModelProfile;
 pub use shape::{shape_of, AggKind, ShapeKind};

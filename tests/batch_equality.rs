@@ -190,6 +190,37 @@ fn mixed_db_scheduler_traffic_is_exact() {
     );
 }
 
+/// Pins the full dev answer set across commits: the equality tests above
+/// compare two paths of one build, so a change that moves both sides the
+/// same way passes them. FNV-1a over every English dev answer of the
+/// three databases, produced by `answer_batch` in chunks of 8, each
+/// answer framed by its byte length. The constant holds in debug and
+/// release builds; change it only in a commit meant to move answers.
+#[test]
+fn dev_answers_match_the_recorded_digest() {
+    const RECORDED: u64 = 0x4ffe_52fa_d0f6_ae1c;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let mut answers = 0;
+    for db in DbId::ALL {
+        let dev = dataset().examples_for(db, Split::Dev);
+        let questions: Vec<&str> = dev.iter().map(|e| e.question(Lang::En)).collect();
+        for chunk in questions.chunks(8) {
+            for a in system().answer_batch(db, chunk) {
+                feed(&(a.len() as u64).to_le_bytes());
+                feed(a.as_bytes());
+                answers += 1;
+            }
+        }
+    }
+    assert_eq!(answers, 1000, "English dev set size changed");
+    assert_eq!(h, RECORDED, "dev answers moved: digest {h:#018x}");
+}
+
 /// The interleaved micro-batched evaluation reproduces the serial
 /// per-database EX counts exactly — the counts PR 2's evaluation path
 /// records — at every worker count and batch size combination.
