@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the batched answer engine and the featurisation
 //! hot loop it leans on: question featurisation (no token cloning),
-//! single vs batched embedding, contiguous prototype-matrix ranking, and
-//! the full answer path per-question vs micro-batched.
+//! embedding, contiguous prototype-matrix ranking, and the full answer
+//! path in batches of one vs one micro-batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use bull::{DbId, Lang, Split};
@@ -31,13 +31,8 @@ fn bench_batched_engine(c: &mut Criterion) {
     let dev = ds.examples_for(DbId::Fund, Split::Dev);
     let questions: Vec<&str> = dev.iter().take(8).map(|e| e.question(Lang::En)).collect();
 
-    // Embedding amortisation in isolation.
     let rt = system.runtime(DbId::Fund);
-    let lora = Some(&rt.plugin.lora);
-    c.bench_function("embed_batch_8", |b| {
-        b.iter(|| system.base.embed_batch(std::hint::black_box(&questions), lora))
-    });
-    let emb = system.base.embed(QUESTION, lora);
+    let emb = system.base.embed(QUESTION, Some(&rt.plugin.lora));
     c.bench_function("prototype_matrix_rank", |b| {
         b.iter(|| rt.matrix.ranked(std::hint::black_box(&emb)))
     });
@@ -45,17 +40,9 @@ fn bench_batched_engine(c: &mut Criterion) {
         b.iter(|| PrototypeMatrix::build(std::hint::black_box(&rt.plugin.prototypes)))
     });
 
-    // The full answer path: 8 questions one at a time vs one micro-batch.
+    // The full answer path: 8 batches of one vs one micro-batch of 8.
     c.bench_function("answer_8_per_question", |b| {
-        b.iter(|| {
-            questions
-                .iter()
-                .map(|q| {
-                    let mut rng = system.question_rng(DbId::Fund, q);
-                    system.answer(DbId::Fund, q, &mut rng)
-                })
-                .collect::<Vec<_>>()
-        })
+        b.iter(|| questions.iter().map(|q| system.answer(DbId::Fund, q)).collect::<Vec<_>>())
     });
     c.bench_function("answer_8_batched", |b| {
         b.iter(|| system.answer_batch(DbId::Fund, std::hint::black_box(&questions)))

@@ -1,13 +1,15 @@
 //! Regenerates `results/BENCH_batch.json`: answer-path throughput of the
-//! batched engine vs the per-question path over the full three-database
-//! dev sweep, cold-cache and warm-cache, plus the recorded PR 2 baseline
-//! the batched speedup is claimed against.
+//! engine in micro-batches vs in batches of one (the `unbatched` arms:
+//! one question at a time through `Answerer::answer_cached`) over the
+//! full three-database dev sweep, cold-cache and warm-cache, plus the
+//! recorded PR 2 baseline the batched speedup is claimed against.
 //!
 //! The measurement is answers-only (no execution-accuracy checking) so it
-//! isolates the inference path the batching optimises; the batched and
-//! unbatched answer strings are compared for byte equality over the whole
-//! sweep, which both validates the determinism guarantee at scale and
-//! keeps the two measured paths honest about doing the same work.
+//! isolates the inference path the batching optimises; the micro-batched
+//! and batch-of-one answer strings are compared for byte equality over
+//! the whole sweep, which both validates the determinism guarantee at
+//! scale and keeps the two measured paths honest about doing the same
+//! work.
 
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::{DbId, Lang, Split};
@@ -26,7 +28,7 @@ const PR2_EX: &str = "850/1000";
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let batch = if opts.batch == 0 { 8 } else { opts.batch };
+    let batch = opts.plan.batch.max(1);
     let ds = dataset();
     let system = FinSql::build(&ds, headline_profile(Lang::En), FinSqlConfig::standard(Lang::En));
 
@@ -42,7 +44,7 @@ fn main() {
         .collect();
     let total: usize = per_db.iter().map(|(_, qs)| qs.len()).sum();
 
-    // Unbatched, cold then warm through one cache.
+    // Batches of one, cold then warm through one cache.
     let cache = AnswerCache::unbounded();
     let mut unbatched_answers: Vec<std::sync::Arc<str>> = Vec::with_capacity(total);
     let cold = Instant::now();
@@ -81,7 +83,7 @@ fn main() {
 
     assert_eq!(
         unbatched_answers, batched_answers,
-        "batched answers must be byte-identical to the per-question path"
+        "micro-batched answers must be byte-identical to batches of one"
     );
     let snap = metrics.snapshot();
     let qps = |wall: std::time::Duration| total as f64 / wall.as_secs_f64();

@@ -18,7 +18,7 @@ const PR4_BATCHED_COLD_QPS: f64 = 1625.0;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let batch = if opts.batch == 0 { 8 } else { opts.batch };
+    let batch = if opts.plan.batch == 0 { 8 } else { opts.plan.batch };
     let ds = dataset();
     let system = FinSql::build(&ds, headline_profile(Lang::En), FinSqlConfig::standard(Lang::En));
     let cfg = GenConfig {

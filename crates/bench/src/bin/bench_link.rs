@@ -37,7 +37,7 @@ fn bits(linked: &LinkedSchema) -> (RankBits, Vec<RankBits>) {
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let batch = if opts.batch == 0 { 8 } else { opts.batch };
+    let batch = if opts.plan.batch == 0 { 8 } else { opts.plan.batch };
     let ds = dataset();
     let system = FinSql::build(&ds, headline_profile(Lang::En), FinSqlConfig::standard(Lang::En));
 

@@ -270,9 +270,9 @@ fn main() {
 
     let config = ServeConfig {
         batch: BatchConfig {
-            max_batch: if opts.batch > 0 { opts.batch } else { 8 },
+            max_batch: if opts.plan.batch > 0 { opts.plan.batch } else { 8 },
             flush: Duration::from_micros(200),
-            workers: if opts.workers > 0 { opts.workers } else { 4 },
+            workers: if opts.plan.workers > 0 { opts.plan.workers } else { 4 },
             queue_cap: 256,
         },
         ..ServeConfig::default()

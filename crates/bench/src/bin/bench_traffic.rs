@@ -33,11 +33,11 @@ fn main() {
     if opts.cache_cap > 0 {
         spec.capacity = opts.cache_cap;
     }
-    if opts.workers > 0 {
-        spec.submitters = opts.workers;
+    if opts.plan.workers > 0 {
+        spec.submitters = opts.plan.workers;
     }
-    if opts.batch > 0 {
-        spec.batch = opts.batch;
+    if opts.plan.batch > 0 {
+        spec.batch = opts.plan.batch;
     }
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {

@@ -28,8 +28,7 @@ fn main() {
         let prompt_schema = linked.project(&rt.schema, 4, 8);
         let miss = e.gold_columns.iter().any(|(t,c)| !prompt_schema.has_column(t,c));
         if miss { prompt_miss += 1; }
-        let mut rng = system.question_rng(DbId::Fund, q);
-        let final_sql = system.answer(DbId::Fund, q, &mut rng);
+        let final_sql = system.answer(DbId::Fund, q);
         let ok = sqlengine::execution_accuracy(ds.db(DbId::Fund), &final_sql, &e.sql);
         let ent = ex_by_arch.entry(e.archetype).or_insert((0,0));
         ent.1 += 1; if ok { ent.0 += 1; }

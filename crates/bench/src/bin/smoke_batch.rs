@@ -1,16 +1,16 @@
 //! CI smoke run for the batched answer engine: evaluate a slice of the
-//! dev sets unbatched and batched and assert the per-database EX counts
-//! are identical (batching cannot change an answer), then run the same
-//! slice twice through a [`BatchScheduler`] with cache-first routing and
-//! assert the warm pass reproduces the cold counts from the cache. Exits
-//! non-zero on any violation, so CI catches a batched path that drifts
-//! from the per-question reference.
+//! dev sets in batches of one and in micro-batches and assert the
+//! per-database EX counts are identical (batching cannot change an
+//! answer), then run the same slice twice through a [`BatchScheduler`]
+//! with cache-first routing and assert the warm pass reproduces the cold
+//! counts from the cache. Exits non-zero on any violation, so CI catches
+//! a micro-batch that drifts from the batch-of-one reference.
 
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::{DbId, Lang};
 use finsql_core::batch::{BatchConfig, BatchScheduler};
 use finsql_core::cache::AnswerCache;
-use finsql_core::eval::{evaluate_ex_all_interleaved, evaluate_ex_all_interleaved_batched};
+use finsql_core::eval::{evaluate_ex, EvalPlan};
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::sync::Arc;
@@ -20,34 +20,28 @@ const PER_DB: usize = 25;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let batch = if opts.batch == 0 { 8 } else { opts.batch };
+    // The batched pass must actually coalesce, so batch 0 or 1 means 8.
+    let batch = if opts.plan.batch > 1 { opts.plan.batch } else { 8 };
+    let one = EvalPlan { batch: 1, limit_per_db: Some(PER_DB), ..opts.plan };
     let ds = dataset();
     let system = FinSql::build(&ds, headline_profile(Lang::En), FinSqlConfig::standard(Lang::En));
 
-    // Per-question reference pass.
+    // Batch-of-one reference pass.
     let wall = Instant::now();
-    let unbatched = evaluate_ex_all_interleaved(&ds, Lang::En, opts.workers, Some(PER_DB), |db, q| {
-        let mut rng = system.question_rng(db, q);
-        system.answer(db, q, &mut rng)
-    });
+    let unbatched = evaluate_ex(&ds, Lang::En, one, |db, qs| system.answer_batch(db, qs));
     let unbatched_wall = wall.elapsed();
 
-    // Batched pass over the same slice.
+    // Micro-batched pass over the same slice.
     let metrics = EvalMetrics::new();
     let wall = Instant::now();
-    let batched = evaluate_ex_all_interleaved_batched(
-        &ds,
-        Lang::En,
-        opts.workers,
-        Some(PER_DB),
-        batch,
-        |db, qs| system.answer_batch_with_metrics(db, qs, Some(&metrics)),
-    );
+    let batched = evaluate_ex(&ds, Lang::En, EvalPlan { batch, ..one }, |db, qs| {
+        system.answer_batch_with_metrics(db, qs, Some(&metrics))
+    });
     let batched_wall = wall.elapsed();
     let snap = metrics.snapshot();
     let n = unbatched.pooled().total as f64;
     println!(
-        "unbatched: EX {}/{}  {:.1} questions/sec",
+        "batches of one: EX {}/{}  {:.1} questions/sec",
         unbatched.pooled().correct,
         unbatched.pooled().total,
         n / unbatched_wall.as_secs_f64()
@@ -67,7 +61,7 @@ fn main() {
         assert_eq!(
             unbatched.outcome(db),
             batched.outcome(db),
-            "{db}: batched EX counts must equal the per-question reference"
+            "{db}: batched EX counts must equal the batch-of-one reference"
         );
     }
     assert!(snap.batches > 0, "the batched pass must actually batch");
@@ -87,10 +81,9 @@ fn main() {
     let mut passes = Vec::new();
     for pass in 0..2 {
         let wall = Instant::now();
-        let outcome =
-            evaluate_ex_all_interleaved(&ds, Lang::En, opts.workers, Some(PER_DB), |db, q| {
-                scheduler.answer(db, q)
-            });
+        let outcome = evaluate_ex(&ds, Lang::En, one, |db, qs| {
+            qs.iter().map(|q| scheduler.answer(db, q)).collect()
+        });
         let wall = wall.elapsed();
         println!(
             "scheduler pass {pass}: EX {}/{}  {:.1} questions/sec",
@@ -100,7 +93,7 @@ fn main() {
         );
         passes.push(outcome);
     }
-    assert_eq!(passes[0], unbatched, "scheduler answers must equal the per-question reference");
+    assert_eq!(passes[0], unbatched, "scheduler answers must equal the batch-of-one reference");
     assert_eq!(passes[0], passes[1], "warm scheduler pass must reproduce cold EX counts");
     let stats = cache.stats();
     println!(

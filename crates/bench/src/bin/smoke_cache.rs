@@ -6,7 +6,7 @@
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::Lang;
 use finsql_core::cache::{Answerer, AnswerCache};
-use finsql_core::eval::evaluate_ex_all_interleaved;
+use finsql_core::eval::{evaluate_ex, EvalPlan};
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::time::Instant;
@@ -17,13 +17,16 @@ fn main() {
     let opts = HarnessOpts::from_args();
     let ds = dataset();
     let system = FinSql::build(&ds, headline_profile(Lang::En), FinSqlConfig::standard(Lang::En));
-    let cache = AnswerCache::with_capacity(opts.cache_cap);
+    // `--no-cache` is meaningless here: the smoke always runs a cache.
+    let cache = AnswerCache::with_policy(opts.cache_cap, opts.cache_policy.unwrap_or_default());
+    println!("cache policy {}, capacity {}", cache.policy(), opts.cache_cap);
+    let plan = EvalPlan { batch: 1, limit_per_db: Some(PER_DB), ..opts.plan };
     let mut passes = Vec::new();
     for pass in 0..2 {
         let metrics = EvalMetrics::new();
         let wall = Instant::now();
-        let outcome = evaluate_ex_all_interleaved(&ds, Lang::En, opts.workers, Some(PER_DB), |db, q| {
-            system.answer_cached(&cache, db, q, Some(&metrics))
+        let outcome = evaluate_ex(&ds, Lang::En, plan, |db, qs| {
+            qs.iter().map(|q| system.answer_cached(&cache, db, q, Some(&metrics))).collect()
         });
         let wall = wall.elapsed();
         let snap = metrics.snapshot();
@@ -42,8 +45,8 @@ fn main() {
         stats.hits, stats.misses, stats.inserts, stats.evictions, stats.entries
     );
     assert_eq!(passes[0].0, passes[1].0, "warm pass must reproduce cold EX counts exactly");
-    // A cap below the working set may FIFO-evict every entry between
-    // passes, so only demand hits when the whole slice fits.
+    // A cap below the working set may evict every entry between passes,
+    // so only demand hits when the whole slice fits.
     if opts.cache_cap == 0 || opts.cache_cap >= 3 * PER_DB {
         assert!(stats.hits > 0, "repeated questions produced no cache hits");
     }

@@ -24,8 +24,8 @@ fn main() {
         rows_per_table: 3,
         questions_per_db: 20,
         tick_seed: 0x71C5,
-        batch: if opts.batch == 0 { 3 } else { opts.batch },
-        workers: if opts.workers == 0 { 2 } else { opts.workers },
+        batch: if opts.plan.batch == 0 { 3 } else { opts.plan.batch },
+        workers: if opts.plan.workers == 0 { 2 } else { opts.plan.workers },
     };
     let metrics = EvalMetrics::new();
     let wall = Instant::now();

@@ -36,11 +36,11 @@ fn main() {
     // 1. Byte identity over a live socket, plus protocol-level error
     // handling on the same server.
     let mut config = ServeConfig::default();
-    if opts.workers > 0 {
-        config.batch.workers = opts.workers;
+    if opts.plan.workers > 0 {
+        config.batch.workers = opts.plan.workers;
     }
-    if opts.batch > 0 {
-        config.batch.max_batch = opts.batch;
+    if opts.plan.batch > 0 {
+        config.batch.max_batch = opts.plan.batch;
     }
     let server = Server::bind(
         "127.0.0.1:0",

@@ -21,8 +21,8 @@ fn main() {
         population: 768,
         requests: 8_000,
         capacity: 128,
-        submitters: if opts.workers > 0 { opts.workers } else { 4 },
-        batch: if opts.batch > 0 { opts.batch } else { 8 },
+        submitters: if opts.plan.workers > 0 { opts.plan.workers } else { 4 },
+        batch: if opts.plan.batch > 0 { opts.plan.batch } else { 8 },
         ..TrafficSpec::default()
     };
     let ds = dataset();

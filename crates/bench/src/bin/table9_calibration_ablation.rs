@@ -1,6 +1,6 @@
 //! Regenerates the paper's Table 9: the output-calibration ablation.
 
-use bench::{dataset, finsql_ex, headline_profile};
+use bench::{dataset, finsql_ex, headline_profile, HarnessOpts};
 use bull::Lang;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use finsql_core::CalibrationConfig;
@@ -29,7 +29,7 @@ fn main() {
                 ..FinSqlConfig::standard(lang)
             };
             let system = FinSql::build(&ds, headline_profile(lang), config);
-            ex[i] = finsql_ex(&system, &ds).ex_pct();
+            ex[i] = finsql_ex(&system, &ds, HarnessOpts::default(), None, None).ex_pct();
         }
         results.push((label, ex[0], ex[1]));
     }

@@ -8,10 +8,7 @@ pub mod traffic;
 use bull::{BullDataset, DbId, Lang, Split};
 use finsql_core::baselines::{FtBaseline, GptBaseline, GptMethod, GptModel, SharedGptBaseline};
 use finsql_core::cache::{Answerer, AnswerCache, CachePolicy};
-use finsql_core::eval::{
-    evaluate_ex_all_interleaved, evaluate_ex_all_interleaved_batched, evaluate_ex_all_limit,
-    EvalOutcome,
-};
+use finsql_core::eval::{evaluate_ex, EvalOutcome, EvalPlan};
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use simllm::BaseModelProfile;
@@ -21,30 +18,26 @@ use std::time::Instant;
 pub const SEED: u64 = bull::DEFAULT_SEED;
 
 /// Harness-wide evaluation options, parsed from the binary's CLI
-/// arguments: `--serial` forces the single-threaded evaluation path (the
-/// escape hatch; results are identical either way), `--workers N` sizes
-/// the worker pool (`0` = available parallelism), `--no-cache` disables
-/// the keyed answer cache, `--cache-cap N` caps the cache at `N` entries
-/// (`0` = unbounded, the default), `--cache-policy lru|slru-tinylfu`
-/// selects the eviction/admission policy of a capped cache (default:
-/// the policy in `FinSqlConfig`, i.e. SLRU + TinyLFU; the policy can
-/// change hit rates, never answers), and `--batch N` / `--no-batch` set
-/// the micro-batch size of the batched FinSQL answer engine (CLI default
-/// 8; `--no-batch` or `--batch 0` falls back to per-question answering —
-/// answers are byte-identical either way).
+/// arguments: `--workers N` sizes the worker pool (`0` = available
+/// parallelism, the default; `--workers 1` is the single-threaded run),
+/// `--batch N` sets the micro-batch size of the FinSQL answer engine
+/// (default 8; `--batch 1` answers each question as a batch of one —
+/// answers are byte-identical either way), `--no-cache` disables the
+/// keyed answer cache, `--cache-cap N` caps the cache at `N` entries
+/// (`0` = unbounded, the default), and `--cache-policy lru|slru-tinylfu`
+/// selects the eviction/admission policy of a capped cache (default: the
+/// policy in `FinSqlConfig`, i.e. SLRU + TinyLFU; the policy can change
+/// hit rates, never answers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HarnessOpts {
-    pub serial: bool,
-    pub workers: usize,
+    /// Workers and micro-batch size of the evaluation run (whole dev
+    /// sets: the CLI sets no per-database limit).
+    pub plan: EvalPlan,
     pub no_cache: bool,
     pub cache_cap: usize,
     /// Eviction/admission policy for the answer cache; `None` keeps the
     /// [`FinSqlConfig`] default.
     pub cache_policy: Option<CachePolicy>,
-    /// Micro-batch size for the batched FinSQL engine; `0` = unbatched.
-    /// `Default::default()` is unbatched, [`HarnessOpts::from_args`]
-    /// defaults to 8.
-    pub batch: usize,
 }
 
 impl HarnessOpts {
@@ -55,13 +48,12 @@ impl HarnessOpts {
     }
 
     fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut opts = HarnessOpts { batch: 8, ..HarnessOpts::default() };
+        let mut opts = HarnessOpts::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--serial" => opts.serial = true,
                 "--workers" => {
-                    opts.workers = args
+                    opts.plan.workers = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .expect("--workers needs a number");
@@ -82,12 +74,11 @@ impl HarnessOpts {
                     );
                 }
                 "--batch" => {
-                    opts.batch = args
+                    opts.plan.batch = args
                         .next()
                         .and_then(|v| v.parse().ok())
                         .expect("--batch needs a number");
                 }
-                "--no-batch" => opts.batch = 0,
                 _ => {}
             }
         }
@@ -130,105 +121,40 @@ pub fn t5_profile(lang: Lang) -> &'static BaseModelProfile {
     }
 }
 
-/// Evaluates any [`Answerer`] over all three dev sets on the interleaved
-/// cross-database queue (or serially under `--serial`), threading an
-/// optional answer cache and metrics sink through every question. This
-/// is the one evaluation path the FinSQL rows and both baseline families
-/// share.
-pub fn answerer_ex(
-    answerer: &(impl Answerer + ?Sized),
-    ds: &BullDataset,
-    lang: Lang,
-    opts: HarnessOpts,
-    metrics: Option<&EvalMetrics>,
-    cache: Option<&AnswerCache>,
-) -> EvalOutcome {
-    let predict = |db: DbId, q: &str| answerer.answer_maybe_cached(cache, db, q, metrics);
-    if opts.serial {
-        evaluate_ex_all_limit(ds, lang, None, predict).pooled()
-    } else {
-        evaluate_ex_all_interleaved(ds, lang, opts.workers, None, predict).pooled()
-    }
-}
-
-/// Evaluates a FinSQL system through the batched answer engine: each
-/// database's dev set is chunked into micro-batches of `opts.batch`
-/// questions, interleaved across databases, and answered with
-/// [`FinSql::answer_batch`] (cache-first when a cache is given). EX
-/// counts are identical to [`answerer_ex`]'s at every batch size —
-/// batching cannot change an answer — the difference is throughput.
-pub fn finsql_batched_ex(
+/// Evaluates a FinSQL system over all three dev sets through the batched
+/// answer engine: micro-batches of `opts.plan.batch` questions,
+/// interleaved across databases and answered with
+/// [`FinSql::answer_batch`] (cache-first when a cache is given), feeding
+/// an optional metrics sink. EX counts are identical at every batch size
+/// and worker count — batching cannot change an answer.
+pub fn finsql_ex(
     system: &FinSql,
     ds: &BullDataset,
     opts: HarnessOpts,
     metrics: Option<&EvalMetrics>,
     cache: Option<&AnswerCache>,
 ) -> EvalOutcome {
-    let predict =
-        |db: DbId, qs: &[&str]| system.answer_batch_maybe_cached(cache, db, qs, metrics);
-    evaluate_ex_all_interleaved_batched(
-        ds,
-        system.config.lang,
-        opts.workers,
-        None,
-        opts.batch,
-        predict,
-    )
+    evaluate_ex(ds, system.config.lang, opts.plan, |db, qs| {
+        system.answer_batch_maybe_cached(cache, db, qs, metrics)
+    })
     .pooled()
 }
 
-/// The FinSQL evaluation path the harness options select: the batched
-/// engine when `--batch` is active (and `--serial` is not), the shared
-/// per-question [`answerer_ex`] path otherwise.
-pub fn finsql_opts_ex(
-    system: &FinSql,
-    ds: &BullDataset,
-    opts: HarnessOpts,
-    metrics: Option<&EvalMetrics>,
-    cache: Option<&AnswerCache>,
-) -> EvalOutcome {
-    if opts.batch > 0 && !opts.serial {
-        finsql_batched_ex(system, ds, opts, metrics, cache)
-    } else {
-        answerer_ex(system, ds, system.config.lang, opts, metrics, cache)
-    }
-}
-
-/// Evaluates a built FinSQL system over all three dev sets, pooled, on
-/// the parallel path with default options.
-pub fn finsql_ex(system: &FinSql, ds: &BullDataset) -> EvalOutcome {
-    finsql_ex_with(system, ds, HarnessOpts::default(), None)
-}
-
-/// [`finsql_ex`] with explicit harness options and an optional metrics
-/// sink fed by every answered question. The answer cache the options
-/// call for lives only for this run; use [`answerer_ex`] directly to
-/// keep a cache warm across runs.
-pub fn finsql_ex_with(
-    system: &FinSql,
-    ds: &BullDataset,
-    opts: HarnessOpts,
-    metrics: Option<&EvalMetrics>,
-) -> EvalOutcome {
-    let cache = opts.cache();
-    answerer_ex(system, ds, system.config.lang, opts, metrics, cache.as_ref())
-}
-
-/// Evaluates a fine-tuning baseline over all dev sets on the parallel
-/// path with default options.
-pub fn ft_ex(baseline: &FtBaseline, ds: &BullDataset, lang: Lang) -> EvalOutcome {
-    ft_ex_with(baseline, ds, lang, HarnessOpts::default())
-}
-
-/// [`ft_ex`] with explicit harness options.
-pub fn ft_ex_with(
+/// Evaluates a fine-tuning baseline over all three dev sets, one
+/// question at a time (batch 1) through the answer cache the options
+/// call for.
+pub fn ft_ex(
     baseline: &FtBaseline,
     ds: &BullDataset,
     lang: Lang,
     opts: HarnessOpts,
 ) -> EvalOutcome {
     let cache = opts.cache();
-    answerer_ex(baseline, ds, lang, opts, None, cache.as_ref())
+    let plan = EvalPlan { batch: 1, ..opts.plan };
+    evaluate_ex(ds, lang, plan, |db, qs| {
+        qs.iter().map(|q| baseline.answer_maybe_cached(cache.as_ref(), db, q, None)).collect()
+    })
+    .pooled()
 }
 
 /// Evaluates a GPT baseline over a sampled subset of the dev sets (the
@@ -306,15 +232,15 @@ pub fn pct(x: f64) -> String {
 }
 
 /// Regenerates Table 4 (en) / Table 5 (cn): overall EX and cost per SQL.
-/// Evaluation runs on the interleaved cross-database queue (`--serial`
-/// for the single-threaded escape hatch, `--workers N` to size the
-/// pool), with the keyed answer cache in front of the pipeline
-/// (`--no-cache` to disable, `--cache-cap N` to bound it). The FinSQL
-/// rows answer through the batched engine in micro-batches of `--batch`
-/// questions (default 8, `--no-batch` for the per-question path; EX is
-/// identical either way), print questions/sec, the per-stage breakdown
-/// and the batch-shape counters, then re-evaluate against the warm cache
-/// to report the serving-side speedup.
+/// Evaluation runs on the interleaved cross-database queue (`--workers N`
+/// to size the pool, `--workers 1` for a single thread), with the keyed
+/// answer cache in front of the pipeline (`--no-cache` to disable,
+/// `--cache-cap N` to bound it). The FinSQL rows answer through the
+/// batched engine in micro-batches of `--batch` questions (default 8,
+/// `--batch 1` for batches of one; EX is identical either way), print
+/// questions/sec, the per-stage breakdown and the batch-shape counters,
+/// then re-evaluate against the warm cache to report the serving-side
+/// speedup.
 pub fn run_overall_table(lang: Lang) {
     let opts = HarnessOpts::from_args();
     let ds = dataset();
@@ -345,21 +271,21 @@ pub fn run_overall_table(lang: Lang) {
     println!(
         "{:<36} {:>6.1} {:>18}",
         format!("RESDSQL* + {}", t5.name),
-        ft_ex_with(&resdsql, &ds, lang, opts).ex_pct(),
+        ft_ex(&resdsql, &ds, lang, opts).ex_pct(),
         "-"
     );
     let tokenprep = FtBaseline::token_preprocessing(&ds, t5, lang);
     println!(
         "{:<36} {:>6.1} {:>18}",
         format!("Token Preprocessing* + {}", t5.name),
-        ft_ex_with(&tokenprep, &ds, lang, opts).ex_pct(),
+        ft_ex(&tokenprep, &ds, lang, opts).ex_pct(),
         "-"
     );
     let picard = FtBaseline::picard(&ds, t5, lang);
     println!(
         "{:<36} {:>6.1} {:>18}",
         format!("Picard* + {}", t5.name),
-        ft_ex_with(&picard, &ds, lang, opts).ex_pct(),
+        ft_ex(&picard, &ds, lang, opts).ex_pct(),
         "-"
     );
 
@@ -370,7 +296,7 @@ pub fn run_overall_table(lang: Lang) {
         let cache = opts.cache();
         let metrics = EvalMetrics::new();
         let wall = Instant::now();
-        let out = finsql_opts_ex(&finsql, &ds, opts, Some(&metrics), cache.as_ref());
+        let out = finsql_ex(&finsql, &ds, opts, Some(&metrics), cache.as_ref());
         let wall = wall.elapsed();
         // Linking recall@k over the labelled dev examples (batched matrix
         // sweep; recall counters only, no stage timers touched).
@@ -386,7 +312,7 @@ pub fn run_overall_table(lang: Lang) {
         if let Some(cache) = &cache {
             let warm_metrics = EvalMetrics::new();
             let warm_wall = Instant::now();
-            let warm = finsql_opts_ex(&finsql, &ds, opts, Some(&warm_metrics), Some(cache));
+            let warm = finsql_ex(&finsql, &ds, opts, Some(&warm_metrics), Some(cache));
             let warm_wall = warm_wall.elapsed();
             assert_eq!(out, warm, "a warm cache must reproduce the cold EX counts exactly");
             println!("  warm-cache re-evaluation (identical EX):");

@@ -20,7 +20,6 @@ use crate::pipeline::{FinSql, FinSqlConfig};
 use crate::CalibrationConfig;
 use augment::AugmentationFlags;
 use bull::{BullDataset, DbId, Lang};
-use crossenc::InferenceMode;
 use rand::rngs::StdRng;
 use simllm::{BaseModelProfile, GenConfig, SqlGenerator};
 use sqlkit::incremental::check_against_schema;
@@ -87,11 +86,10 @@ impl FtBaseline {
 
     /// Answers one question.
     pub fn answer(&self, db: DbId, question: &str, rng: &mut StdRng) -> String {
-        let rt = self.system.runtime(db);
-        let linked = self.system.linker.link(question, &rt.views, InferenceMode::Parallel);
-        let prompt_schema =
-            linked.project(&rt.schema, self.system.config.k_tables, self.system.config.k_columns);
-        let generator = SqlGenerator::new(&self.system.base, Some(&rt.plugin), self.system.profile);
+        let (sys, rt) = (&self.system, self.system.runtime(db));
+        let linked = &sys.linker.link_batch(&[question], &rt.link_matrix)[0];
+        let prompt_schema = linked.project(&rt.schema, sys.config.k_tables, sys.config.k_columns);
+        let generator = SqlGenerator::with_matrix(&sys.base, &rt.plugin, &rt.matrix, sys.profile);
         match self.mode {
             FtMode::Greedy => generator
                 .generate(
@@ -118,12 +116,12 @@ impl FtBaseline {
                 // PICARD's incremental parser prevents schema-invalid
                 // tokens from ever being decoded — equivalent to a
                 // noise-free decoder plus a validity filter over samples.
-                let constrained_profile = simllm::BaseModelProfile {
+                let constrained = simllm::BaseModelProfile {
                     noise: simllm::noise::NoiseRates::NONE,
-                    ..*self.system.profile
+                    ..*sys.profile
                 };
                 let generator =
-                    SqlGenerator::new(&self.system.base, Some(&rt.plugin), &constrained_profile);
+                    SqlGenerator::with_matrix(&sys.base, &rt.plugin, &rt.matrix, &constrained);
                 let candidates = generator.generate(
                     question,
                     &prompt_schema,

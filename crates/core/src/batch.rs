@@ -2,15 +2,16 @@
 //! scheduler.
 //!
 //! [`FinSql::answer_batch`] answers a slice of questions against one
-//! database in a single pass that amortises the per-question setup the
-//! serial path pays every time: the questions are embedded in one
-//! [`simllm::EmbeddingModel::embed_batch`] sweep and ranked against the
-//! runtime's contiguous [`simllm::PrototypeMatrix`], questions whose
-//! schema linking selects the same top-k tables and columns share one
-//! projected prompt schema (built once per distinct projection instead of
-//! once per question), and linking runs as one matrix sweep over the
-//! runtime's precomputed [`crossenc::SchemaFeatureMatrix`] — every
-//! question featurised once, no per-question string work or thread scope.
+//! database in a single pass. It is the only answer pipeline:
+//! [`FinSql::answer`] and the [`Answerer::answer_fresh`] miss path run a
+//! batch of one through it. A batch amortises per-question setup: each
+//! question is embedded once and ranked against the runtime's
+//! contiguous [`simllm::PrototypeMatrix`], questions whose schema linking
+//! selects the same top-k tables and columns share one projected prompt
+//! schema (built once per distinct projection instead of once per
+//! question), and linking runs as one matrix sweep over the runtime's
+//! precomputed [`crossenc::SchemaFeatureMatrix`] — every question
+//! featurised once, no per-question string work or thread scope.
 //!
 //! **Why batching cannot change an answer.** Every source of randomness
 //! in the pipeline is derived from the question itself, never from batch
@@ -18,14 +19,15 @@
 //! system seed, database and question bytes), and slot decisions come
 //! from a per-question slot seed that is re-derived identically inside
 //! [`simllm::SqlGenerator::generate_batch`]. Linking is a pure function
-//! of `(question, schema views)` and serial/parallel modes agree exactly;
-//! the shared projected schema is a pure function of the linker's top-k
-//! selection, so sharing it is sharing an identical value; batch
-//! embedding computes each row with the very code the single-question
-//! path uses. Calibration is deterministic per candidate list. Therefore
-//! `answer_batch(db, qs)[i] == answer(db, qs[i])` byte for byte, at every
-//! batch size and in every grouping — which is what makes the
-//! [`BatchScheduler`]'s coalescing safe and keeps cached answers exact.
+//! of `(question, schema views)`, and the matrix sweep agrees exactly
+//! with crossenc's per-question serial and parallel `link`; the shared
+//! projected schema is a pure function of the linker's top-k selection,
+//! so sharing it is sharing an identical value; each question's
+//! embedding depends on its own text alone. Calibration is deterministic
+//! per candidate list. Therefore `answer_batch(db, qs)[i]` equals the
+//! batch of one `answer(db, qs[i])` byte for byte, at every batch size
+//! and in every grouping — which is what makes the [`BatchScheduler`]'s
+//! coalescing safe and keeps cached answers exact.
 //!
 //! [`BatchScheduler`] is the serving front-end: a bounded MPMC queue and
 //! a worker pool that coalesces concurrent requests into micro-batches —
@@ -56,10 +58,10 @@ type ProjectionKey = Vec<(usize, Vec<usize>)>;
 
 impl FinSql {
     /// Answers a batch of questions against one database. Each returned
-    /// answer is byte-identical to what [`FinSql::answer`] produces for
-    /// that question alone (see the module docs for why), but the batch
-    /// shares one embedding sweep and one projected prompt schema per
-    /// distinct linker selection.
+    /// answer is byte-identical to what [`FinSql::answer`] (a batch of
+    /// one) produces for that question alone (see the module docs for
+    /// why), but the batch shares one linking sweep and one projected
+    /// prompt schema per distinct linker selection.
     pub fn answer_batch(&self, db: DbId, questions: &[&str]) -> Vec<String> {
         self.answer_batch_with_metrics(db, questions, None)
     }
@@ -141,7 +143,7 @@ impl FinSql {
             }
             m.record_generation(gen_time, &merged);
         }
-        // 3. Calibration per question, exactly as the serial path.
+        // 3. Calibration per question.
         let out: Vec<String> = sampled
             .into_iter()
             .map(|(candidates, _)| {
@@ -240,7 +242,8 @@ impl FinSql {
     /// sub-batch per database present (in [`DbId::ALL`] order), each
     /// answered through the cache-first batched path, and the answers
     /// are scattered back into request order. Every answer is still
-    /// byte-identical to a lone [`FinSql::answer`] call — sub-batching
+    /// byte-identical to a lone [`FinSql::answer`] call (a batch of
+    /// one) — sub-batching
     /// is just batching, and batching cannot change an answer — which is
     /// what lets the [`BatchScheduler`] coalesce mixed traffic without
     /// waiting for same-database requests to accumulate.

@@ -18,8 +18,8 @@
 //! the six comparison systems of the paper's Tables 4–5; [`cache`] is the
 //! serving layer — a config-fingerprinted answer cache shared by the
 //! system and the baselines through the [`cache::Answerer`] trait;
-//! [`batch`] is the batched answer engine (micro-batched inference that
-//! is byte-identical to the per-question path) plus the coalescing
+//! [`batch`] is the answer engine (micro-batched inference; a lone
+//! question is a batch of one) plus the coalescing
 //! [`batch::BatchScheduler`] front-end.
 
 #![forbid(unsafe_code)]
@@ -42,7 +42,7 @@ pub use cache::{
     InsertOutcome,
 };
 pub use calibrate::{calibrate, calibrate_with_stats, CalibrationConfig, CalibrationStats};
-pub use eval::{evaluate_ex, evaluate_ex_parallel, EvalOutcome, MultiDbOutcome};
+pub use eval::{evaluate_ex, EvalOutcome, EvalPlan, MultiDbOutcome};
 pub use live::{evaluate_ex_live, LiveConfig, LiveOutcome, RoundReport};
 pub use metrics::{EvalMetrics, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use pipeline::{FinSql, FinSqlConfig};

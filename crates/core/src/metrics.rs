@@ -1,12 +1,13 @@
 //! Per-stage instrumentation for evaluation runs.
 //!
 //! [`EvalMetrics`] is a lock-free sink of counters and stage timers that
-//! [`crate::pipeline::FinSql::answer_with_metrics`] feeds while answering:
-//! schema-linking / generation / calibration wall time, candidate counts,
-//! calibration repair activity, and parse failures. One sink is shared by
-//! every evaluation worker (all fields are atomic), and a [`MetricsSnapshot`]
-//! renders the totals — the bench binaries print it after each table row,
-//! including questions/sec against the measured wall time.
+//! [`crate::pipeline::FinSql::answer_batch_with_metrics`] feeds while
+//! answering: schema-linking / generation / calibration wall time,
+//! candidate counts, calibration repair activity, and parse failures.
+//! One sink is shared by every evaluation worker (all fields are
+//! atomic), and a [`MetricsSnapshot`] renders the totals — the bench
+//! binaries print it after each table row, including questions/sec
+//! against the measured wall time.
 
 use crate::calibrate::CalibrationStats;
 use simllm::GenCounters;
@@ -204,8 +205,8 @@ impl EvalMetrics {
         self.admission_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one end-to-end answer latency: the full pipeline time on
-    /// the per-question path, or enqueue-to-answer on the scheduler path.
+    /// Records one end-to-end answer latency, enqueue to answer. Only the
+    /// scheduler path records it; the engine records stage timers.
     pub fn record_answer_latency(&self, elapsed: Duration) {
         self.latency.record(elapsed);
     }
@@ -311,8 +312,8 @@ pub struct MetricsSnapshot {
     pub cache_evictions: u64,
     /// Cache fills rejected by the TinyLFU admission filter.
     pub admission_rejected: u64,
-    /// End-to-end answer latency distribution (per-question pipeline
-    /// time, or enqueue-to-answer on the scheduler path).
+    /// End-to-end answer latency distribution, enqueue to answer on the
+    /// scheduler path.
     pub latency: HistogramSnapshot,
     /// Micro-batches answered through the batched engine.
     pub batches: u64,

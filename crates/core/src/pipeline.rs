@@ -2,17 +2,17 @@
 //! schema linking → concise prompt → LLM sampling → output calibration.
 
 use crate::cache::{Answerer, ConfigFingerprint, FingerprintBuilder};
-use crate::calibrate::{calibrate_with_stats, CalibrationConfig};
+use crate::calibrate::CalibrationConfig;
 use crate::metrics::EvalMetrics;
 use crate::peft::train_database_plugin;
 use augment::AugmentationFlags;
 use bull::{BullDataset, DbId, Lang, Split};
-use crossenc::{CrossEncoder, InferenceMode, LinkExample, SchemaFeatureMatrix, TrainConfig};
+use crossenc::{CrossEncoder, LinkExample, SchemaFeatureMatrix, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simllm::{
-    BaseModelProfile, EmbeddingModel, GenConfig, LoraPlugin, PluginHub, PrototypeMatrix,
-    SqlGenerator, TrainOpts, ValueIndex,
+    BaseModelProfile, EmbeddingModel, LoraPlugin, PluginHub, PrototypeMatrix, TrainOpts,
+    ValueIndex,
 };
 use sqlengine::{DataEpoch, Database};
 use sqlkit::catalog::CatalogSchema;
@@ -274,59 +274,10 @@ impl FinSql {
     }
 
     /// Answers a question against one database: the paper's full
-    /// inference path.
-    pub fn answer(&self, db: DbId, question: &str, rng: &mut StdRng) -> String {
-        self.answer_with_metrics(db, question, rng, None)
-    }
-
-    /// [`FinSql::answer`], feeding per-stage timings and counters into a
-    /// shared metrics sink. The produced SQL is byte-identical to
-    /// `answer`'s; passing `None` skips all instrumentation.
-    pub fn answer_with_metrics(
-        &self,
-        db: DbId,
-        question: &str,
-        rng: &mut StdRng,
-        metrics: Option<&EvalMetrics>,
-    ) -> String {
-        let total_start = std::time::Instant::now();
-        let rt = self.runtime(db);
-        // 1. Schema linking → concise prompt schema.
-        let (linked, link_time) =
-            self.linker.link_timed(question, &rt.views, InferenceMode::Parallel);
-        let prompt_schema = linked.project(&rt.schema, self.config.k_tables, self.config.k_columns);
-        // 2. Sample n candidates from the adapted model, scoring against
-        // the runtime's prebuilt prototype matrix.
-        let generator = SqlGenerator::with_matrix(&self.base, &rt.plugin, &rt.matrix, self.profile);
-        let gen_start = std::time::Instant::now();
-        let (candidates, counters) = generator.generate_with_counters(
-            question,
-            &prompt_schema,
-            &rt.values,
-            GenConfig {
-                n_samples: self.config.n_candidates,
-                temperature: self.config.temperature,
-                skeleton_temperature: None,
-            },
-            rng,
-        );
-        let gen_time = gen_start.elapsed();
-        // 3. Output calibration against the full schema.
-        let calib_start = std::time::Instant::now();
-        let (calibrated, stats) =
-            calibrate_with_stats(&candidates, &rt.schema, &self.config.calibration);
-        let calib_time = calib_start.elapsed();
-        let fell_back = calibrated.is_none();
-        let answer =
-            calibrated.unwrap_or_else(|| candidates.first().cloned().unwrap_or_default());
-        if let Some(m) = metrics {
-            m.record_question();
-            m.record_link(link_time);
-            m.record_generation(gen_time, &counters);
-            m.record_calibration(calib_time, &stats, fell_back);
-            m.record_answer_latency(total_start.elapsed());
-        }
-        answer
+    /// inference path, run as a batch of one through
+    /// [`FinSql::answer_batch_with_metrics`].
+    pub fn answer(&self, db: DbId, question: &str) -> String {
+        self.answer_fresh(db, question, None)
     }
 
     /// A deterministic per-question RNG (seeded from the system seed, the
@@ -429,8 +380,9 @@ impl Answerer for FinSql {
     }
 
     fn answer_fresh(&self, db: DbId, question: &str, metrics: Option<&EvalMetrics>) -> String {
-        let mut rng = self.question_rng(db, question);
-        self.answer_with_metrics(db, question, &mut rng, metrics)
+        // INVARIANT: answer_batch_with_metrics returns one answer per
+        // question, so a batch of one yields exactly one.
+        self.answer_batch_with_metrics(db, &[question], metrics).pop().expect("one answer")
     }
 }
 

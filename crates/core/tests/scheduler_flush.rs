@@ -33,10 +33,9 @@ fn engine() -> Arc<FinSql> {
     }))
 }
 
-/// The per-question reference answer the scheduler must reproduce.
+/// The batch-of-one reference answer the scheduler must reproduce.
 fn reference(engine: &FinSql, db: DbId, question: &str) -> String {
-    let mut rng = engine.question_rng(db, question);
-    engine.answer(db, question, &mut rng)
+    engine.answer(db, question)
 }
 
 /// Parks the scheduler's worker long enough that a stale pre-fix

@@ -29,19 +29,6 @@ pub struct LinkedSchema {
 }
 
 impl CrossEncoder {
-    /// [`CrossEncoder::link`], also reporting the elapsed wall time — the
-    /// hook the evaluation metrics use to attribute linking cost.
-    pub fn link_timed(
-        &self,
-        question: &str,
-        views: &SchemaViews,
-        mode: InferenceMode,
-    ) -> (LinkedSchema, std::time::Duration) {
-        let start = std::time::Instant::now();
-        let linked = self.link(question, views, mode);
-        (linked, start.elapsed())
-    }
-
     /// Scores every table and column of a schema for a question.
     pub fn link(
         &self,

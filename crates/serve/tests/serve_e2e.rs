@@ -28,10 +28,9 @@ fn engine() -> Arc<FinSql> {
     }))
 }
 
-/// The per-question reference answer the served path must reproduce.
+/// The batch-of-one reference answer the served path must reproduce.
 fn reference(engine: &FinSql, db: DbId, question: &str) -> String {
-    let mut rng = engine.question_rng(db, question);
-    engine.answer(db, question, &mut rng)
+    engine.answer(db, question)
 }
 
 fn spawn_server(config: ServeConfig) -> finsql_serve::ServeHandle {

@@ -138,20 +138,6 @@ impl EmbeddingModel {
         h
     }
 
-    /// Embeds a whole micro-batch: extracts features for every question
-    /// and projects them through `W0` (plus the optional LoRA delta) in
-    /// one pass over the batch. Each row is byte-identical to what
-    /// [`EmbeddingModel::embed`] produces for that question alone — the
-    /// win is amortisation (one call, one output allocation, no per-call
-    /// setup), not a different computation.
-    pub fn embed_batch(&self, texts: &[&str], lora: Option<&LoraModule>) -> Vec<Vec<f32>> {
-        let mut out = Vec::with_capacity(texts.len());
-        for text in texts {
-            let x = self.features(text);
-            out.push(self.embed_features(&x, lora));
-        }
-        out
-    }
 }
 
 /// Query-structure cue words (en word tokens and cn character tokens).

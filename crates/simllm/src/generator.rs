@@ -174,29 +174,6 @@ impl<'a> SqlGenerator<'a> {
         self.generate_with_retrieval_text(question, question, prompt_schema, values, cfg, rng)
     }
 
-    /// [`SqlGenerator::generate`], also reporting sampling counters. The
-    /// candidates are byte-identical to `generate`'s.
-    pub fn generate_with_counters(
-        &self,
-        question: &str,
-        prompt_schema: &CatalogSchema,
-        values: &ValueIndex,
-        cfg: GenConfig,
-        rng: &mut StdRng,
-    ) -> (Vec<String>, GenCounters) {
-        let mut counters = GenCounters::default();
-        let out = self.generate_impl(
-            question,
-            question,
-            prompt_schema,
-            values,
-            cfg,
-            rng,
-            &mut counters,
-        );
-        (out, counters)
-    }
-
     /// Like [`SqlGenerator::generate`], but retrieves skeleton prototypes
     /// with a different text than the one used for slot filling. DAIL-SQL
     /// style masked-question matching uses this: structure is matched on
@@ -210,26 +187,23 @@ impl<'a> SqlGenerator<'a> {
         cfg: GenConfig,
         rng: &mut StdRng,
     ) -> Vec<String> {
-        let mut counters = GenCounters::default();
-        self.generate_impl(
-            question,
-            retrieval_text,
-            prompt_schema,
-            values,
-            cfg,
-            rng,
-            &mut counters,
-        )
+        let filler = SlotFiller::new(prompt_schema, values, question);
+        // Rank skeleton prototypes once, by the retrieval text.
+        let ranked = match self.plugin {
+            Some(p) => self.rank_embedding(&self.base.embed(retrieval_text, Some(&p.lora))),
+            None => Vec::new(),
+        };
+        self.sample_n(&filler, question, &ranked, cfg, rng, &mut GenCounters::default())
     }
 
     /// Generates candidates for a whole micro-batch of questions that
-    /// share one value index (i.e. one database): the questions are
-    /// embedded in one [`EmbeddingModel::embed_batch`] pass and ranked
-    /// against the contiguous [`PrototypeMatrix`], then each question
-    /// runs the exact per-question sampling loop — same slot-seed
-    /// derivation, same RNG consumption — so each entry of the result is
-    /// byte-identical to what [`SqlGenerator::generate_with_counters`]
-    /// produces for that question with its own RNG.
+    /// share one value index (i.e. one database): every question is
+    /// embedded and ranked against the contiguous [`PrototypeMatrix`],
+    /// then runs the exact per-question sampling loop — same slot-seed
+    /// derivation, same RNG consumption — so each entry's candidates are
+    /// byte-identical to what [`SqlGenerator::generate`] produces for
+    /// that question with its own RNG. Each entry also carries that
+    /// question's sampling counters.
     pub fn generate_batch(
         &self,
         items: &[BatchItem<'_>],
@@ -238,13 +212,12 @@ impl<'a> SqlGenerator<'a> {
         rngs: &mut [StdRng],
     ) -> Vec<(Vec<String>, GenCounters)> {
         assert_eq!(items.len(), rngs.len(), "one sampling RNG per batched question");
-        let ranked_all: Vec<Vec<(usize, f32)>> = if self.plugin.is_some() {
-            let texts: Vec<&str> = items.iter().map(|i| i.question).collect();
-            let lora = self.plugin.map(|p| &p.lora);
-            let embs = self.base.embed_batch(&texts, lora);
-            embs.iter().map(|emb| self.rank_embedding(emb)).collect()
-        } else {
-            vec![Vec::new(); items.len()]
+        let ranked_all: Vec<Vec<(usize, f32)>> = match self.plugin {
+            Some(plugin) => items
+                .iter()
+                .map(|i| self.rank_embedding(&self.base.embed(i.question, Some(&plugin.lora))))
+                .collect(),
+            None => vec![Vec::new(); items.len()],
         };
         items
             .iter()
@@ -257,23 +230,6 @@ impl<'a> SqlGenerator<'a> {
                 (out, counters)
             })
             .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn generate_impl(
-        &self,
-        question: &str,
-        retrieval_text: &str,
-        prompt_schema: &CatalogSchema,
-        values: &ValueIndex,
-        cfg: GenConfig,
-        rng: &mut StdRng,
-        counters: &mut GenCounters,
-    ) -> Vec<String> {
-        let filler = SlotFiller::new(prompt_schema, values, question);
-        // Rank skeleton prototypes once.
-        let ranked = self.ranked_prototypes(retrieval_text);
-        self.sample_n(&filler, question, &ranked, cfg, rng, counters)
     }
 
     /// The shared per-question sampling loop: `cfg.n_samples` draws over
@@ -308,15 +264,6 @@ impl<'a> SqlGenerator<'a> {
             out.push(sql);
         }
         out
-    }
-
-    /// Prototype indices sorted by similarity (cosine over unit-norm
-    /// vectors, computed as a contiguous dot-product sweep) to the
-    /// adapted question embedding.
-    fn ranked_prototypes(&self, question: &str) -> Vec<(usize, f32)> {
-        let Some(plugin) = self.plugin else { return Vec::new() };
-        let emb = self.base.embed(question, Some(&plugin.lora));
-        self.rank_embedding(&emb)
     }
 
     /// Ranks a precomputed unit-norm embedding against the prototype
@@ -523,12 +470,12 @@ mod tests {
             "what is the average return rate of type stock fund",
             "how many funds have fund type kind3",
         ];
-        let serial: Vec<(Vec<String>, GenCounters)> = questions
+        let serial: Vec<Vec<String>> = questions
             .iter()
             .enumerate()
             .map(|(i, q)| {
                 let mut rng = StdRng::seed_from_u64(100 + i as u64);
-                g.generate_with_counters(q, &s, &values, cfg, &mut rng)
+                g.generate(q, &s, &values, cfg, &mut rng)
             })
             .collect();
         let items: Vec<BatchItem<'_>> =
@@ -536,6 +483,8 @@ mod tests {
         let mut rngs: Vec<StdRng> =
             (0..questions.len()).map(|i| StdRng::seed_from_u64(100 + i as u64)).collect();
         let batched = g.generate_batch(&items, &values, cfg, &mut rngs);
+        assert!(batched.iter().all(|(_, c)| c.samples == cfg.n_samples as u64));
+        let batched: Vec<Vec<String>> = batched.into_iter().map(|(out, _)| out).collect();
         assert_eq!(serial, batched, "batched generation must be byte-identical");
     }
 

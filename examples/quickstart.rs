@@ -27,8 +27,7 @@ fn main() {
     // 3. Answer dev questions.
     for e in ds.examples_for(DbId::Fund, Split::Dev).iter().take(5) {
         let q = e.question(Lang::En);
-        let mut rng = system.question_rng(DbId::Fund, q);
-        let sql = system.answer(DbId::Fund, q, &mut rng);
+        let sql = system.answer(DbId::Fund, q);
         let ok = sqlengine::execution_accuracy(ds.db(DbId::Fund), &sql, &e.sql);
         println!("Q: {q}");
         println!("   predicted: {sql}");

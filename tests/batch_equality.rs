@@ -1,17 +1,18 @@
-//! Batched-engine equivalence tests: the batched answer path must be
-//! byte-identical to the per-question path — for arbitrary question
-//! subsets, at every batch size, through the coalescing scheduler, and
-//! through the cache — and the interleaved micro-batched evaluation must
-//! reproduce the serial per-database EX counts exactly at every worker
-//! count and batch size.
+//! Batched-engine equivalence tests: a micro-batch must answer
+//! byte-identically to batches of one (`FinSql::answer`) — for arbitrary
+//! question subsets, at every batch size, through the coalescing
+//! scheduler, and through the cache — the evaluator must reproduce the
+//! single-threaded batch-of-one per-database EX counts exactly at every
+//! worker count and batch size, and recorded digests pin both registers'
+//! dev answers across commits.
 
 use bull::{DbId, Lang, Split};
 use finsql_core::batch::{BatchConfig, BatchScheduler};
 use finsql_core::cache::AnswerCache;
-use finsql_core::eval::{evaluate_ex_all_interleaved_batched, evaluate_ex_all_limit};
+use finsql_core::eval::{evaluate_ex, EvalPlan};
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use proptest::prelude::*;
-use simllm::profiles::LLAMA2_13B;
+use simllm::profiles::{BAICHUAN2_13B, LLAMA2_13B};
 use std::sync::{Arc, OnceLock};
 
 fn dataset() -> &'static bull::BullDataset {
@@ -26,18 +27,11 @@ fn system() -> &'static Arc<FinSql> {
     })
 }
 
-/// The per-question reference answer.
-fn serial_answer(db: DbId, q: &str) -> String {
-    let sys = system();
-    let mut rng = sys.question_rng(db, q);
-    sys.answer(db, q, &mut rng)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `answer_batch` equals `answer` byte for byte on arbitrary question
-    /// subsets (duplicates included) of every database.
+    /// `answer_batch` equals `answer` (a batch of one) byte for byte on
+    /// arbitrary question subsets (duplicates included) of every database.
     #[test]
     fn answer_batch_matches_answer_on_arbitrary_subsets(
         indices in proptest::collection::vec(0usize..200, 1..12),
@@ -50,7 +44,7 @@ proptest! {
         let batched = system().answer_batch(db, &questions);
         prop_assert_eq!(batched.len(), questions.len());
         for (q, a) in questions.iter().zip(&batched) {
-            prop_assert_eq!(&serial_answer(db, q), a, "diverged on {:?}", q);
+            prop_assert_eq!(&system().answer(db, q), a, "diverged on {:?}", q);
         }
     }
 
@@ -75,7 +69,7 @@ proptest! {
         let got = system().answer_batch_mixed(cache.as_ref(), &requests, None);
         prop_assert_eq!(got.len(), requests.len());
         for ((db, q), a) in requests.iter().zip(&got) {
-            let want = serial_answer(*db, q);
+            let want = system().answer(*db, q);
             prop_assert_eq!(want.as_str(), &**a, "diverged on {:?} {:?}", db, q);
         }
     }
@@ -89,7 +83,7 @@ fn every_batch_size_and_the_cached_path_are_exact() {
     let db = DbId::Stock;
     let dev = dataset().examples_for(db, Split::Dev);
     let questions: Vec<&str> = dev.iter().take(64).map(|e| e.question(Lang::En)).collect();
-    let reference: Vec<String> = questions.iter().map(|q| serial_answer(db, q)).collect();
+    let reference: Vec<String> = questions.iter().map(|q| system().answer(db, q)).collect();
     for &bs in &[1usize, 3, 7, 64] {
         let mut got = Vec::with_capacity(questions.len());
         for chunk in questions.chunks(bs) {
@@ -118,7 +112,7 @@ fn scheduler_coalescing_is_invisible_to_callers() {
     let db = DbId::Fund;
     let dev = dataset().examples_for(db, Split::Dev);
     let questions: Vec<&str> = dev.iter().take(32).map(|e| e.question(Lang::En)).collect();
-    let reference: Vec<String> = questions.iter().map(|q| serial_answer(db, q)).collect();
+    let reference: Vec<String> = questions.iter().map(|q| system().answer(db, q)).collect();
     for workers in [1usize, 3] {
         let cache = Arc::new(AnswerCache::unbounded());
         let scheduler = BatchScheduler::new(
@@ -164,7 +158,7 @@ fn mixed_db_scheduler_traffic_is_exact() {
         })
         .collect();
     let reference: Vec<String> =
-        requests.iter().map(|(db, q)| serial_answer(*db, q)).collect();
+        requests.iter().map(|(db, q)| system().answer(*db, q)).collect();
     let cache = Arc::new(AnswerCache::unbounded());
     let scheduler = BatchScheduler::new(
         Arc::clone(system()),
@@ -190,15 +184,10 @@ fn mixed_db_scheduler_traffic_is_exact() {
     );
 }
 
-/// Pins the full dev answer set across commits: the equality tests above
-/// compare two paths of one build, so a change that moves both sides the
-/// same way passes them. FNV-1a over every English dev answer of the
-/// three databases, produced by `answer_batch` in chunks of 8, each
-/// answer framed by its byte length. The constant holds in debug and
-/// release builds; change it only in a commit meant to move answers.
-#[test]
-fn dev_answers_match_the_recorded_digest() {
-    const RECORDED: u64 = 0x4ffe_52fa_d0f6_ae1c;
+/// FNV-1a over every dev answer of the three databases in one register,
+/// produced by `answer_batch` in chunks of 8, each answer framed by its
+/// byte length. Returns the digest and the number of answers fed.
+fn dev_answer_digest(sys: &FinSql, lang: Lang) -> (u64, usize) {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut feed = |bytes: &[u8]| {
         for &b in bytes {
@@ -208,40 +197,59 @@ fn dev_answers_match_the_recorded_digest() {
     let mut answers = 0;
     for db in DbId::ALL {
         let dev = dataset().examples_for(db, Split::Dev);
-        let questions: Vec<&str> = dev.iter().map(|e| e.question(Lang::En)).collect();
+        let questions: Vec<&str> = dev.iter().map(|e| e.question(lang)).collect();
         for chunk in questions.chunks(8) {
-            for a in system().answer_batch(db, chunk) {
+            for a in sys.answer_batch(db, chunk) {
                 feed(&(a.len() as u64).to_le_bytes());
                 feed(a.as_bytes());
                 answers += 1;
             }
         }
     }
+    (h, answers)
+}
+
+/// Pins the full dev answer set across commits: the equality tests above
+/// compare two paths of one build, so a change that moves both sides the
+/// same way passes them. The digest is [`dev_answer_digest`] over every
+/// English dev answer. The constant holds in debug and release builds;
+/// change it only in a commit meant to move answers.
+#[test]
+fn dev_answers_match_the_recorded_digest() {
+    const RECORDED: u64 = 0x4ffe_52fa_d0f6_ae1c;
+    let (h, answers) = dev_answer_digest(system(), Lang::En);
     assert_eq!(answers, 1000, "English dev set size changed");
     assert_eq!(h, RECORDED, "dev answers moved: digest {h:#018x}");
 }
 
-/// The interleaved micro-batched evaluation reproduces the serial
-/// per-database EX counts exactly — the counts PR 2's evaluation path
-/// records — at every worker count and batch size combination.
+/// The Chinese sibling of [`dev_answers_match_the_recorded_digest`]:
+/// Table 5's register, the headline Baichuan2 system over every Chinese
+/// dev answer.
+#[test]
+fn cn_dev_answers_match_the_recorded_digest() {
+    const RECORDED: u64 = 0x40a2_1b2a_4f96_3918;
+    let sys = FinSql::build(dataset(), &BAICHUAN2_13B, FinSqlConfig::standard(Lang::Cn));
+    let (h, answers) = dev_answer_digest(&sys, Lang::Cn);
+    assert_eq!(answers, 1000, "Chinese dev set size changed");
+    assert_eq!(h, RECORDED, "Chinese dev answers moved: digest {h:#018x}");
+}
+
+/// The micro-batched evaluation reproduces the single-threaded
+/// batch-of-one per-database EX counts exactly at every worker count and
+/// batch size: neither the worker pool, nor the interleaved chunk queue,
+/// nor the chunking can move a count.
 #[test]
 fn interleaved_batched_eval_reproduces_serial_counts() {
-    const LIMIT: usize = 20;
-    let serial = evaluate_ex_all_limit(dataset(), Lang::En, Some(LIMIT), |db, q| {
-        serial_answer(db, q)
-    });
-    for workers in [1usize, 2, 3] {
+    let one = EvalPlan { workers: 1, batch: 1, limit_per_db: Some(20) };
+    let eval =
+        |plan| evaluate_ex(dataset(), Lang::En, plan, |db, qs| system().answer_batch(db, qs));
+    let serial = eval(one);
+    assert_eq!(serial.pooled().total, 60);
+    for workers in [1usize, 2, 3, 8] {
         for batch in [1usize, 4, 16] {
-            let batched = evaluate_ex_all_interleaved_batched(
-                dataset(),
-                Lang::En,
-                workers,
-                Some(LIMIT),
-                batch,
-                |db, qs| system().answer_batch(db, qs),
-            );
             assert_eq!(
-                serial, batched,
+                serial,
+                eval(EvalPlan { workers, batch, ..one }),
                 "per-db counts diverged at workers={workers} batch={batch}"
             );
         }

@@ -39,8 +39,7 @@ fn finsql_answers_execute() {
     let sample = &dev[..50];
     for e in sample {
         let q = e.question(Lang::En);
-        let mut rng = sys.question_rng(DbId::Fund, q);
-        let sql = sys.answer(DbId::Fund, q, &mut rng);
+        let sql = sys.answer(DbId::Fund, q);
         if sqlkit::parse_statement(&sql).is_ok() {
             parses += 1;
         }
@@ -59,8 +58,7 @@ fn finsql_beats_the_unaugmented_uncalibrated_ablation() {
     let mut full = finsql_core::eval::EvalOutcome::default();
     for e in ds.examples_for(DbId::Fund, Split::Dev).iter().take(150) {
         let q = e.question(Lang::En);
-        let mut rng = sys.question_rng(DbId::Fund, q);
-        if sqlengine::execution_accuracy(ds.db(DbId::Fund), &sys.answer(DbId::Fund, q, &mut rng), &e.sql) {
+        if sqlengine::execution_accuracy(ds.db(DbId::Fund), &sys.answer(DbId::Fund, q), &e.sql) {
             full.correct += 1;
         }
         full.total += 1;
@@ -76,15 +74,7 @@ fn answers_are_deterministic_per_question() {
     let sys = system();
     let e = ds.examples_for(DbId::Stock, Split::Dev)[0];
     let q = e.question(Lang::En);
-    let a = {
-        let mut rng = sys.question_rng(DbId::Stock, q);
-        sys.answer(DbId::Stock, q, &mut rng)
-    };
-    let b = {
-        let mut rng = sys.question_rng(DbId::Stock, q);
-        sys.answer(DbId::Stock, q, &mut rng)
-    };
-    assert_eq!(a, b);
+    assert_eq!(sys.answer(DbId::Stock, q), sys.answer(DbId::Stock, q));
 }
 
 #[test]
@@ -103,43 +93,27 @@ fn question_rng_differs_between_databases() {
 
 #[test]
 fn parallel_eval_matches_serial_exactly() {
+    use finsql_core::{evaluate_ex, EvalPlan};
     let ds = dataset();
     let sys = system();
-    let predict = |q: &str| {
-        let mut rng = sys.question_rng(DbId::Fund, q);
-        sys.answer(DbId::Fund, q, &mut rng)
-    };
-    let serial =
-        finsql_core::eval::evaluate_ex_limit(ds, DbId::Fund, Lang::En, Some(40), predict);
-    let parallel = finsql_core::eval::evaluate_ex_parallel(
-        ds,
-        DbId::Fund,
-        Lang::En,
-        4,
-        Some(40),
-        predict,
-    );
+    let serial_plan = EvalPlan { workers: 1, batch: 1, limit_per_db: Some(40) };
+    let eval = |plan| evaluate_ex(ds, Lang::En, plan, |db, qs| sys.answer_batch(db, qs));
+    let serial = eval(serial_plan);
+    let parallel = eval(EvalPlan { workers: 4, ..serial_plan });
     assert_eq!(serial, parallel, "sharded evaluation must reproduce the serial counts exactly");
-    assert_eq!(parallel.total, 40);
+    assert_eq!(parallel.outcome(DbId::Fund).total, 40);
 }
 
 #[test]
 fn interleaved_eval_matches_serial_per_db_at_any_worker_count() {
+    use finsql_core::{evaluate_ex, EvalPlan};
     let ds = dataset();
     let sys = system();
-    let predict = |db: DbId, q: &str| {
-        let mut rng = sys.question_rng(db, q);
-        sys.answer(db, q, &mut rng)
-    };
-    let serial = finsql_core::eval::evaluate_ex_all_limit(ds, Lang::En, Some(20), predict);
+    let serial_plan = EvalPlan { workers: 1, batch: 1, limit_per_db: Some(20) };
+    let eval = |plan| evaluate_ex(ds, Lang::En, plan, |db, qs| sys.answer_batch(db, qs));
+    let serial = eval(serial_plan);
     for workers in [1, 3, 8] {
-        let interleaved = finsql_core::eval::evaluate_ex_all_interleaved(
-            ds,
-            Lang::En,
-            workers,
-            Some(20),
-            predict,
-        );
+        let interleaved = eval(EvalPlan { workers, ..serial_plan });
         for db in DbId::ALL {
             assert_eq!(
                 serial.outcome(db),
@@ -153,28 +127,16 @@ fn interleaved_eval_matches_serial_per_db_at_any_worker_count() {
 
 #[test]
 fn cached_eval_matches_uncached_and_warm_pass_hits() {
-    use finsql_core::{Answerer, AnswerCache};
+    use finsql_core::{evaluate_ex, Answerer, AnswerCache, EvalPlan};
     let ds = dataset();
     let sys = system();
-    let uncached = finsql_core::eval::evaluate_ex_all_interleaved(
-        ds,
-        Lang::En,
-        4,
-        Some(20),
-        |db, q| {
-            let mut rng = sys.question_rng(db, q);
-            sys.answer(db, q, &mut rng)
-        },
-    );
+    let plan = EvalPlan { workers: 4, batch: 1, limit_per_db: Some(20) };
+    let uncached = evaluate_ex(ds, Lang::En, plan, |db, qs| sys.answer_batch(db, qs));
     let cache = AnswerCache::unbounded();
     for pass in 0..2 {
-        let cached = finsql_core::eval::evaluate_ex_all_interleaved(
-            ds,
-            Lang::En,
-            4,
-            Some(20),
-            |db, q| sys.answer_cached(&cache, db, q, None),
-        );
+        let cached = evaluate_ex(ds, Lang::En, plan, |db, qs| {
+            qs.iter().map(|q| sys.answer_cached(&cache, db, q, None)).collect()
+        });
         for db in DbId::ALL {
             assert_eq!(
                 uncached.outcome(db),
@@ -218,10 +180,7 @@ mod cached_answer_property {
             let sys = system();
             let db = DbId::ALL[db_idx];
             let q = ds.examples_for(db, Split::Dev)[ex_idx].question(Lang::En);
-            let fresh = {
-                let mut rng = sys.question_rng(db, q);
-                sys.answer(db, q, &mut rng)
-            };
+            let fresh = sys.answer(db, q);
             let cached = sys.answer_cached(shared_cache(), db, q, None);
             prop_assert_eq!(fresh.as_str(), &*cached, "cache changed the answer for {:?}", db);
         }
@@ -230,16 +189,18 @@ mod cached_answer_property {
 
 #[test]
 fn metrics_count_questions_and_candidates() {
+    use finsql_core::Answerer;
     let ds = dataset();
     let sys = system();
     let metrics = finsql_core::EvalMetrics::new();
     let n = 10;
-    finsql_core::eval::evaluate_ex_parallel(ds, DbId::Fund, Lang::En, 2, Some(n), |q| {
-        let mut rng = sys.question_rng(DbId::Fund, q);
-        sys.answer_with_metrics(DbId::Fund, q, &mut rng, Some(&metrics))
-    });
+    for e in ds.examples_for(DbId::Fund, Split::Dev).iter().take(n) {
+        sys.answer_fresh(DbId::Fund, e.question(Lang::En), Some(&metrics));
+    }
     let snap = metrics.snapshot();
     assert_eq!(snap.questions, n as u64);
+    // Each lone question is answered as a batch of one.
+    assert_eq!((snap.batches, snap.max_batch), (n as u64, 1));
     // Every question samples exactly n_candidates candidates.
     assert_eq!(snap.candidates, (n * sys.config.n_candidates) as u64);
     assert!(snap.link_time > std::time::Duration::ZERO);
