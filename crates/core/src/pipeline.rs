@@ -315,14 +315,6 @@ impl FinSql {
         }
     }
 
-    /// Hashes every configuration knob that can change an answer into one
-    /// [`ConfigFingerprint`]: the full [`FinSqlConfig`], the base-model
-    /// profile, and per database the identity of the loaded plugin plus
-    /// the data epoch the runtime serves at. Two systems with equal
-    /// fingerprints answer identically, so the fingerprint keys the
-    /// [`crate::cache::AnswerCache`] — and because the epoch is in the
-    /// key, a cache entry can never outlive the data state it was
-    /// computed against: bumping any database's epoch moves every key.
     /// An [`crate::cache::AnswerCache`] holding at most `capacity`
     /// entries (0 = unbounded) under this system's configured
     /// [`crate::cache::CachePolicy`] — the constructor the harnesses use
@@ -331,6 +323,14 @@ impl FinSql {
         crate::cache::AnswerCache::with_policy(capacity, self.config.cache_policy)
     }
 
+    /// Hashes every configuration knob that can change an answer into one
+    /// [`ConfigFingerprint`]: the full [`FinSqlConfig`], the base-model
+    /// profile, and per database the identity of the loaded plugin plus
+    /// the data epoch the runtime serves at. Two systems with equal
+    /// fingerprints answer identically, so the fingerprint keys the
+    /// [`crate::cache::AnswerCache`] — and because the epoch is in the
+    /// key, a cache entry can never outlive the data state it was
+    /// computed against: bumping any database's epoch moves every key.
     pub fn config_fingerprint(&self) -> ConfigFingerprint {
         let mut b = fingerprint_config(FingerprintBuilder::new("finsql"), &self.config);
         b = fingerprint_profile(b, self.profile);

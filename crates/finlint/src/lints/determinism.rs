@@ -21,14 +21,6 @@
 //!    come out in an unspecified order, so the comparator must be a
 //!    total order over the *element* (not just the key) or the site must
 //!    justify why ties are impossible.
-//! 4. **posting-iteration** — iterating a posting-list collection (an
-//!    identifier containing `posting`) directly. Inverted-index scoring
-//!    accumulates floats, so the walk order over terms is part of the
-//!    answer: posting lists must be *indexed* by previously sorted
-//!    interned term ids (`postings[t]`), never iterated as a collection
-//!    — a refactor to a keyed map would silently inherit hash order.
-//!    Sites that iterate deliberately (e.g. build-time weights over a
-//!    dense id-ordered `Vec`) justify with `// finlint: ordered`.
 
 use super::{Finding, Lint};
 use crate::source::{ident_before, SourceFile};
@@ -64,7 +56,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         hash_iteration(file, i, &code, &tracked, &mut out);
         float_reduction(file, i, &code, &mut out);
         unstable_float_sort(file, i, &code, &mut out);
-        posting_iteration(file, i, &code, &mut out);
     }
     out
 }
@@ -294,57 +285,6 @@ fn unstable_float_sort(file: &SourceFile, i: usize, code: &str, out: &mut Vec<Fi
     }
 }
 
-/// Posting-list collections feed float vote accumulation, so their walk
-/// order is answer-affecting: flag any direct iteration of an identifier
-/// containing `posting` (method form or bare `for … in`). Indexed access
-/// (`postings[t]`, `postings.get(t)`) driven by a sorted term list is
-/// the sanctioned shape and stays quiet.
-fn posting_iteration(file: &SourceFile, i: usize, code: &str, out: &mut Vec<Finding>) {
-    let is_posting = |name: &str| name.to_ascii_lowercase().contains("posting");
-    let mut hit: Option<String> = None;
-    for m in ITER_METHODS {
-        let mut from = 0usize;
-        while let Some(p) = code[from..].find(m) {
-            let pos = from + p;
-            if let Some(recv) = ident_before(code, pos) {
-                if is_posting(recv) {
-                    hit = Some(format!("{recv}{}", m.trim_end_matches('(')));
-                }
-            }
-            from = pos + m.len();
-        }
-    }
-    if hit.is_none() && code.trim_start().starts_with("for ") {
-        if let Some(p) = code.find(" in ") {
-            let tail = code[p + 4..].trim_start().trim_start_matches('&');
-            let tail = tail.trim_start_matches("mut ");
-            let path: String = tail
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '.')
-                .collect();
-            let name = path.rsplit('.').next().unwrap_or("");
-            if is_posting(name) {
-                hit = Some(format!("for … in {path}"));
-            }
-        }
-    }
-    if let Some(what) = hit {
-        if !file.justified(i, ORDERED) {
-            out.push(Finding::at(
-                Lint::PostingIteration,
-                file,
-                i,
-                format!(
-                    "`{what}` iterates a posting-list collection; inverted-index scoring \
-                     accumulates floats, so postings must be indexed by sorted interned term \
-                     ids (`postings[t]`), not walked as a collection. Justify a deliberate \
-                     id-ordered sweep with `// finlint: ordered — <why>`"
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,33 +337,6 @@ mod tests {
         // `groups`; iterating the Vec must stay quiet.
         let src = "let groups: Vec<Vec<u32>> = {\n    let mut index: HashMap<u32, usize> = HashMap::new();\n    index.insert(1, 0);\n    Vec::new()\n};\nfor group in groups { use_it(group); }\n";
         let f = findings(src);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn flags_posting_collection_iteration() {
-        let f = findings("for list in self.postings.iter() { score(list); }\n");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].lint, Lint::PostingIteration);
-        let f = findings("for list in postings { score(list); }\n");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].lint, Lint::PostingIteration);
-    }
-
-    #[test]
-    fn indexed_posting_access_is_the_sanctioned_shape() {
-        let f = findings(
-            "let list = self.postings.get(t as usize);\nlet w = postings[t as usize].len();\n",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn justified_posting_sweep_is_quiet() {
-        let f = findings(
-            "// finlint: ordered — dense Vec indexed by interned id, build-time only\n\
-             let weights: Vec<f32> = postings.iter().map(|p| 1.0 / p.len() as f32).collect();\n",
-        );
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -21,9 +21,6 @@ pub enum Lint {
     FloatReduction,
     /// `sort_unstable*` over float keys.
     UnstableFloatSort,
-    /// Iterating a posting-list collection instead of indexing it by
-    /// sorted interned term ids.
-    PostingIteration,
     /// `FinSqlConfig` field neither fingerprinted nor allowlisted.
     FingerprintCoverage,
     /// `unwrap`/`expect`/`panic!`-family without an `// INVARIANT:`.
@@ -49,7 +46,6 @@ impl Lint {
             Lint::HashIteration => "determinism/hash-iteration",
             Lint::FloatReduction => "determinism/float-reduction",
             Lint::UnstableFloatSort => "determinism/unstable-float-sort",
-            Lint::PostingIteration => "determinism/posting-iteration",
             Lint::FingerprintCoverage => "fingerprint/coverage",
             Lint::PanicHygiene => "panic/hygiene",
             Lint::NestedLock => "lock/nested",
@@ -64,10 +60,7 @@ impl Lint {
     /// if the family admits one.
     pub fn justification(self) -> Option<&'static str> {
         match self {
-            Lint::HashIteration
-            | Lint::FloatReduction
-            | Lint::UnstableFloatSort
-            | Lint::PostingIteration => {
+            Lint::HashIteration | Lint::FloatReduction | Lint::UnstableFloatSort => {
                 Some("finlint: ordered")
             }
             Lint::PanicHygiene | Lint::NestedLock => Some("INVARIANT:"),

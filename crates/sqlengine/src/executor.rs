@@ -7,35 +7,84 @@ use crate::expr_eval::{contains_aggregate, eval_in_group, eval_row, Binding, Sco
 use crate::result::ResultSet;
 use crate::value::{GroupKey, Value};
 use sqlkit::ast::*;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
+
+/// One statement's execution: the database it reads and a memo that runs
+/// each uncorrelated subquery once.
+///
+/// The memo is keyed by the address of a subquery node. [`execute`] owns
+/// the context for exactly as long as it borrows the statement, so every
+/// key names a live node of that statement, and the next statement (say,
+/// after an `apply_changes`) starts from an empty memo.
+pub(crate) struct Exec<'a> {
+    pub(crate) db: &'a Database,
+    /// `Some` holds an uncorrelated node's result; `None` marks a node
+    /// that runs once per outer row.
+    memo: RefCell<HashMap<*const SelectStmt, Option<Rc<ResultSet>>>>,
+}
+
+impl Exec<'_> {
+    /// The result of a subquery node for the outer row in `scope`.
+    ///
+    /// A node's first evaluation runs it with no outer scope. If that
+    /// succeeds, the result holds for every outer row and is kept:
+    /// [`Scope::lookup`] reads the outer scope only when a name does not
+    /// resolve locally, and with no outer scope that is an error (which
+    /// holds only while no evaluation catches an error and carries on). If
+    /// it fails, the node is correlated (or broken) and runs per row against
+    /// `scope`, which reproduces the error of a broken one. Nothing runs
+    /// before a node is first reached, so a failing subquery under an
+    /// empty scan, or behind a NULL `IN` operand, stays harmless.
+    pub(crate) fn subquery(&self, q: &SelectStmt, scope: &Scope<'_>) -> ExecResult<Rc<ResultSet>> {
+        let key: *const SelectStmt = q;
+        // The borrow ends with this statement: the runs below re-enter the
+        // memo for nested subqueries.
+        let known = self.memo.borrow().get(&key).cloned();
+        let shared = match known {
+            Some(shared) => shared,
+            None => {
+                let shared = execute_scoped(self, q, None).ok().map(Rc::new);
+                self.memo.borrow_mut().insert(key, shared.clone());
+                shared
+            }
+        };
+        match shared {
+            Some(rs) => Ok(rs),
+            None => execute_scoped(self, q, Some(scope)).map(Rc::new),
+        }
+    }
+}
 
 /// Executes a query against a database.
 pub fn execute(db: &Database, q: &SelectStmt) -> ExecResult<ResultSet> {
-    execute_scoped(db, q, None)
+    let cx = Exec { db, memo: RefCell::default() };
+    execute_scoped(&cx, q, None)
 }
 
 /// Executes a query with an optional outer scope (for correlated
 /// subqueries).
-pub fn execute_scoped(
-    db: &Database,
+pub(crate) fn execute_scoped(
+    cx: &Exec<'_>,
     q: &SelectStmt,
     outer: Option<&Scope<'_>>,
 ) -> ExecResult<ResultSet> {
     match &q.body {
-        SetExpr::Select(s) => exec_select(db, s, &q.order_by, q.limit, outer),
+        SetExpr::Select(s) => exec_select(cx, s, &q.order_by, q.limit, outer),
         SetExpr::SetOp { .. } => {
-            let rs = exec_set_expr(db, &q.body, outer)?;
+            let rs = exec_set_expr(cx, &q.body, outer)?;
             order_and_limit_plain(rs, &q.order_by, q.limit)
         }
     }
 }
 
-fn exec_set_expr(db: &Database, body: &SetExpr, outer: Option<&Scope<'_>>) -> ExecResult<ResultSet> {
+fn exec_set_expr(cx: &Exec<'_>, body: &SetExpr, outer: Option<&Scope<'_>>) -> ExecResult<ResultSet> {
     match body {
-        SetExpr::Select(s) => exec_select(db, s, &[], None, outer),
+        SetExpr::Select(s) => exec_select(cx, s, &[], None, outer),
         SetExpr::SetOp { op, all, left, right } => {
-            let l = exec_set_expr(db, left, outer)?;
-            let r = exec_set_expr(db, right, outer)?;
+            let l = exec_set_expr(cx, left, outer)?;
+            let r = exec_set_expr(cx, right, outer)?;
             if l.columns.len() != r.columns.len() {
                 return Err(ExecError::Cardinality(
                     "set operands must have the same number of columns".into(),
@@ -150,7 +199,7 @@ enum RowCtx {
 }
 
 fn exec_select(
-    db: &Database,
+    cx: &Exec<'_>,
     s: &Select,
     order_by: &[OrderByItem],
     limit: Option<Limit>,
@@ -158,7 +207,7 @@ fn exec_select(
 ) -> ExecResult<ResultSet> {
     // 1. FROM/JOIN assembly.
     let (bindings, mut rows) = match &s.from {
-        Some(from) => build_from(db, from, outer)?,
+        Some(from) => build_from(cx, from, outer)?,
         None => (Vec::new(), vec![Vec::new()]),
     };
 
@@ -167,7 +216,7 @@ fn exec_select(
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
             let scope = Scope { bindings: &bindings, row: &row, outer };
-            let v = eval_row(db, &scope, pred)?;
+            let v = eval_row(cx, &scope, pred)?;
             if !v.is_null() && v.is_truthy() {
                 kept.push(row);
             }
@@ -183,7 +232,7 @@ fn exec_select(
     let grouped = !s.group_by.is_empty() || has_agg_items;
 
     // 4. Projection.
-    let columns = output_columns(&bindings, db, s)?;
+    let columns = output_columns(&bindings, s)?;
     let mut projected: Vec<(Vec<Value>, RowCtx)> = Vec::new();
     if grouped {
         let groups: Vec<Vec<Vec<Value>>> = if s.group_by.is_empty() {
@@ -196,7 +245,7 @@ fn exec_select(
                 {
                     let scope = Scope { bindings: &bindings, row: &row, outer };
                     for g in &s.group_by {
-                        key.push(eval_row(db, &scope, g)?.group_key());
+                        key.push(eval_row(cx, &scope, g)?.group_key());
                     }
                 }
                 match index.get(&key) {
@@ -217,7 +266,7 @@ fn exec_select(
                 continue;
             }
             if let Some(h) = &s.having {
-                let hv = eval_in_group(db, &bindings, &group, outer, h)?;
+                let hv = eval_in_group(cx, &bindings, &group, outer, h)?;
                 if hv.is_null() || !hv.is_truthy() {
                     continue;
                 }
@@ -229,7 +278,7 @@ fn exec_select(
                         expand_wildcard(item, &bindings, group.first().map(|r| r.as_slice()), &mut out);
                     }
                     SelectItem::Expr { expr, .. } => {
-                        out.push(eval_in_group(db, &bindings, &group, outer, expr)?);
+                        out.push(eval_in_group(cx, &bindings, &group, outer, expr)?);
                     }
                 }
             }
@@ -245,7 +294,7 @@ fn exec_select(
                     }
                     SelectItem::Expr { expr, .. } => {
                         let scope = Scope { bindings: &bindings, row: &row, outer };
-                        out.push(eval_row(db, &scope, expr)?);
+                        out.push(eval_row(cx, &scope, expr)?);
                     }
                 }
             }
@@ -266,7 +315,7 @@ fn exec_select(
         for (out, ctx) in projected {
             let mut keys = Vec::with_capacity(order_by.len());
             for item in order_by {
-                keys.push(eval_order_key(db, s, &bindings, &columns, &out, &ctx, outer, &item.expr)?);
+                keys.push(eval_order_key(cx, s, &bindings, &columns, &out, &ctx, outer, &item.expr)?);
             }
             keyed.push((keys, out, ctx));
         }
@@ -291,7 +340,7 @@ fn exec_select(
 /// Evaluates an ORDER BY key for one output row.
 #[allow(clippy::too_many_arguments)]
 fn eval_order_key(
-    db: &Database,
+    cx: &Exec<'_>,
     s: &Select,
     bindings: &[Binding],
     columns: &[String],
@@ -341,15 +390,14 @@ fn eval_order_key(
     match ctx {
         RowCtx::Row(row) => {
             let scope = Scope { bindings, row, outer };
-            eval_row(db, &scope, key)
+            eval_row(cx, &scope, key)
         }
-        RowCtx::Group(group) => eval_in_group(db, bindings, group, outer, key),
+        RowCtx::Group(group) => eval_in_group(cx, bindings, group, outer, key),
     }
 }
 
 /// Computes output column names.
-fn output_columns(bindings: &[Binding], db: &Database, s: &Select) -> ExecResult<Vec<String>> {
-    let _ = db;
+fn output_columns(bindings: &[Binding], s: &Select) -> ExecResult<Vec<String>> {
     let mut out = Vec::new();
     for item in &s.items {
         match item {
@@ -425,11 +473,11 @@ fn expand_wildcard(
 /// Builds the joined row set for a FROM clause. Inner equi-joins on column
 /// pairs use a hash join; everything else falls back to nested loops.
 fn build_from(
-    db: &Database,
+    cx: &Exec<'_>,
     from: &FromClause,
     outer: Option<&Scope<'_>>,
 ) -> ExecResult<(Vec<Binding>, Vec<Vec<Value>>)> {
-    let base = db.table(&from.base.name)?;
+    let base = cx.db.table(&from.base.name)?;
     let mut bindings = vec![Binding {
         effective: from.base.effective_name().to_ascii_lowercase(),
         columns: base.def.columns.iter().map(|c| c.name.to_ascii_lowercase()).collect(),
@@ -437,7 +485,7 @@ fn build_from(
     }];
     let mut rows: Vec<Vec<Value>> = base.rows.clone();
     for join in &from.joins {
-        let right = db.table(&join.table.name)?;
+        let right = cx.db.table(&join.table.name)?;
         let right_cols: Vec<String> =
             right.def.columns.iter().map(|c| c.name.to_ascii_lowercase()).collect();
         let offset = bindings.last().map(|b| b.offset + b.columns.len()).unwrap_or(0);
@@ -472,7 +520,7 @@ fn build_from(
                     let mut kept = Vec::with_capacity(rows.len());
                     for row in rows {
                         let scope = Scope { bindings: &bindings, row: &row, outer };
-                        let v = eval_row(db, &scope, on)?;
+                        let v = eval_row(cx, &scope, on)?;
                         if !v.is_null() && v.is_truthy() {
                             kept.push(row);
                         }
@@ -492,7 +540,7 @@ fn build_from(
                         hash_inner_join(&rows, &right.rows, li, ri - offset)
                     }
                     _ => nested_join(
-                        db,
+                        cx,
                         &rows,
                         &right.rows,
                         &bindings,
@@ -584,7 +632,7 @@ fn hash_inner_join(
 
 #[allow(clippy::too_many_arguments)]
 fn nested_join(
-    db: &Database,
+    cx: &Exec<'_>,
     left: &[Vec<Value>],
     right: &[Vec<Value>],
     left_bindings: &[Binding],
@@ -605,7 +653,7 @@ fn nested_join(
             let mut combined = l.clone();
             combined.extend(r.iter().cloned());
             let scope = Scope { bindings: &all_bindings, row: &combined, outer };
-            let v = eval_row(db, &scope, on)?;
+            let v = eval_row(cx, &scope, on)?;
             if !v.is_null() && v.is_truthy() {
                 matched = true;
                 right_matched[ri] = true;

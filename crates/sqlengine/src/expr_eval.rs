@@ -1,9 +1,8 @@
 //! Expression evaluation: row contexts, scalar/boolean operators,
 //! aggregates and subqueries.
 
-use crate::database::Database;
 use crate::error::{ExecError, ExecResult};
-use crate::executor::execute_scoped;
+use crate::executor::Exec;
 use crate::value::Value;
 use sqlkit::ast::*;
 
@@ -86,34 +85,34 @@ fn format_col(c: &ColumnRef) -> String {
 }
 
 /// Evaluates an expression against a single row.
-pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Value> {
+pub(crate) fn eval_row(cx: &Exec<'_>, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Value> {
     match expr {
         Expr::Column(c) => scope.lookup(c),
         Expr::Literal(l) => Ok(literal_value(l)),
         Expr::Unary { op, operand } => {
-            let v = eval_row(db, scope, operand)?;
+            let v = eval_row(cx, scope, operand)?;
             eval_unary(*op, v)
         }
         Expr::Binary { op, left, right } => {
-            let l = eval_row(db, scope, left)?;
+            let l = eval_row(cx, scope, left)?;
             // Short-circuit AND/OR with three-valued logic.
             match op {
                 BinaryOp::And => {
                     if !l.is_null() && !l.is_truthy() {
                         return Ok(Value::Bool(false));
                     }
-                    let r = eval_row(db, scope, right)?;
+                    let r = eval_row(cx, scope, right)?;
                     Ok(bool3(and3(truth3(&l), truth3(&r))))
                 }
                 BinaryOp::Or => {
                     if !l.is_null() && l.is_truthy() {
                         return Ok(Value::Bool(true));
                     }
-                    let r = eval_row(db, scope, right)?;
+                    let r = eval_row(cx, scope, right)?;
                     Ok(bool3(or3(truth3(&l), truth3(&r))))
                 }
                 _ => {
-                    let r = eval_row(db, scope, right)?;
+                    let r = eval_row(cx, scope, right)?;
                     eval_binary(*op, l, r)
                 }
             }
@@ -125,20 +124,20 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
                 )));
             }
             let vals: Vec<Value> =
-                args.iter().map(|a| eval_row(db, scope, a)).collect::<ExecResult<_>>()?;
+                args.iter().map(|a| eval_row(cx, scope, a)).collect::<ExecResult<_>>()?;
             eval_scalar_function(name, &vals)
         }
         Expr::CountStar => {
             Err(ExecError::Unsupported("COUNT(*) outside GROUP BY context".into()))
         }
         Expr::InList { expr, list, negated } => {
-            let v = eval_row(db, scope, expr)?;
+            let v = eval_row(cx, scope, expr)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let w = eval_row(db, scope, item)?;
+                let w = eval_row(cx, scope, item)?;
                 match v.eq_sql(&w) {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
@@ -152,11 +151,11 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
             }
         }
         Expr::InSubquery { expr, subquery, negated } => {
-            let v = eval_row(db, scope, expr)?;
+            let v = eval_row(cx, scope, expr)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let rs = execute_scoped(db, subquery, Some(scope))?;
+            let rs = cx.subquery(subquery, scope)?;
             if rs.columns.len() != 1 {
                 return Err(ExecError::Cardinality("IN subquery must return one column".into()));
             }
@@ -175,9 +174,9 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
             }
         }
         Expr::Between { expr, low, high, negated } => {
-            let v = eval_row(db, scope, expr)?;
-            let lo = eval_row(db, scope, low)?;
-            let hi = eval_row(db, scope, high)?;
+            let v = eval_row(cx, scope, expr)?;
+            let lo = eval_row(cx, scope, low)?;
+            let hi = eval_row(cx, scope, high)?;
             match (v.cmp_sql(&lo), v.cmp_sql(&hi)) {
                 (Some(a), Some(b)) => {
                     let inside = a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
@@ -187,8 +186,8 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
             }
         }
         Expr::Like { expr, pattern, negated } => {
-            let v = eval_row(db, scope, expr)?;
-            let p = eval_row(db, scope, pattern)?;
+            let v = eval_row(cx, scope, expr)?;
+            let p = eval_row(cx, scope, pattern)?;
             match (v, p) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (Value::Str(s), Value::Str(pat)) => Ok(Value::Bool(like_match(&pat, &s) != *negated)),
@@ -196,15 +195,15 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
             }
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval_row(db, scope, expr)?;
+            let v = eval_row(cx, scope, expr)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         Expr::Exists { subquery, negated } => {
-            let rs = execute_scoped(db, subquery, Some(scope))?;
+            let rs = cx.subquery(subquery, scope)?;
             Ok(Value::Bool(rs.rows.is_empty() == *negated))
         }
         Expr::Subquery(q) => {
-            let rs = execute_scoped(db, q, Some(scope))?;
+            let rs = cx.subquery(q, scope)?;
             if rs.columns.len() != 1 {
                 return Err(ExecError::Cardinality("scalar subquery must return one column".into()));
             }
@@ -214,25 +213,25 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
         Expr::Case { operand, branches, else_result } => {
             match operand {
                 Some(op) => {
-                    let base = eval_row(db, scope, op)?;
+                    let base = eval_row(cx, scope, op)?;
                     for (when, then) in branches {
-                        let w = eval_row(db, scope, when)?;
+                        let w = eval_row(cx, scope, when)?;
                         if base.eq_sql(&w) == Some(true) {
-                            return eval_row(db, scope, then);
+                            return eval_row(cx, scope, then);
                         }
                     }
                 }
                 None => {
                     for (when, then) in branches {
-                        let w = eval_row(db, scope, when)?;
+                        let w = eval_row(cx, scope, when)?;
                         if !w.is_null() && w.is_truthy() {
-                            return eval_row(db, scope, then);
+                            return eval_row(cx, scope, then);
                         }
                     }
                 }
             }
             match else_result {
-                Some(e) => eval_row(db, scope, e),
+                Some(e) => eval_row(cx, scope, e),
                 None => Ok(Value::Null),
             }
         }
@@ -242,8 +241,8 @@ pub fn eval_row(db: &Database, scope: &Scope<'_>, expr: &Expr) -> ExecResult<Val
 /// Evaluates an expression in a *group* context: aggregates run over the
 /// group's rows; everything else evaluates against the group's first row
 /// (SQLite's lax semantics).
-pub fn eval_in_group(
-    db: &Database,
+pub(crate) fn eval_in_group(
+    cx: &Exec<'_>,
     bindings: &[Binding],
     rows: &[Vec<Value>],
     outer: Option<&Scope<'_>>,
@@ -258,7 +257,7 @@ pub fn eval_in_group(
             let mut vals = Vec::with_capacity(rows.len());
             for row in rows {
                 let scope = Scope { bindings, row, outer };
-                let v = eval_row(db, &scope, &args[0])?;
+                let v = eval_row(cx, &scope, &args[0])?;
                 if !v.is_null() {
                     vals.push(v);
                 }
@@ -270,12 +269,12 @@ pub fn eval_in_group(
             aggregate(name, &vals)
         }
         Expr::Unary { op, operand } => {
-            let v = eval_in_group(db, bindings, rows, outer, operand)?;
+            let v = eval_in_group(cx, bindings, rows, outer, operand)?;
             eval_unary(*op, v)
         }
         Expr::Binary { op, left, right } => {
-            let l = eval_in_group(db, bindings, rows, outer, left)?;
-            let r = eval_in_group(db, bindings, rows, outer, right)?;
+            let l = eval_in_group(cx, bindings, rows, outer, left)?;
+            let r = eval_in_group(cx, bindings, rows, outer, right)?;
             match op {
                 BinaryOp::And => Ok(bool3(and3(truth3(&l), truth3(&r)))),
                 BinaryOp::Or => Ok(bool3(or3(truth3(&l), truth3(&r)))),
@@ -286,7 +285,7 @@ pub fn eval_in_group(
         other => match rows.first() {
             Some(row) => {
                 let scope = Scope { bindings, row, outer };
-                eval_row(db, &scope, other)
+                eval_row(cx, &scope, other)
             }
             None => Ok(Value::Null),
         },

@@ -9,6 +9,13 @@
 //! grouping, aggregation, having, ordering, limits, (correlated)
 //! subqueries and set operations.
 //!
+//! Each statement runs in one execution context that carries a
+//! per-statement subquery memo: an uncorrelated subquery runs once, when
+//! an outer row first reaches it, and every later row reuses its result.
+//! A node counts as uncorrelated when it runs without any outer scope;
+//! one that fails that way runs once per outer row. The memo dies with
+//! the statement, so a later statement always sees appended data.
+//!
 //! The engine favours predictable SQLite-like semantics over strictness:
 //! bare columns alongside aggregates evaluate against the group's first
 //! row, comparisons coerce Int/Float, and dates are lexicographically

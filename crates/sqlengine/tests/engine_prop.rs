@@ -42,16 +42,34 @@ fn database(
     masters: &[(i64, String, f64)],
     facts: &[(usize, f64)],
 ) -> Database {
+    let masters: Vec<_> =
+        masters.iter().map(|(id, grp, val)| (*id, grp.clone(), Some(*val))).collect();
+    let facts: Vec<_> = facts.iter().map(|(mi, x)| (*mi, Some(*x))).collect();
+    nullable_database(&masters, &facts)
+}
+
+/// [`database`] where `m.val` and `f.x` may be NULL (`None`).
+fn nullable_database(
+    masters: &[(i64, String, Option<f64>)],
+    facts: &[(usize, Option<f64>)],
+) -> Database {
+    let float = |v: &Option<f64>| v.map_or(Value::Null, Value::Float);
     let mut db = Database::new(schema());
     for (id, grp, val) in masters {
-        db.insert("m", vec![Value::Int(*id), Value::from(grp.clone()), Value::Float(*val)])
-            .unwrap();
+        db.insert("m", vec![Value::Int(*id), Value::from(grp.clone()), float(val)]).unwrap();
     }
-    for (mi, x) in facts {
-        let mid = masters[mi % masters.len().max(1)].0;
-        db.insert("f", vec![Value::Int(mid), Value::Float(*x)]).unwrap();
+    for (mid, x) in fact_rows(masters, facts) {
+        db.insert("f", vec![Value::Int(mid), float(&x)]).unwrap();
     }
     db
+}
+
+/// The `f` rows as stored: each fact's master index resolved to an id.
+fn fact_rows(
+    masters: &[(i64, String, Option<f64>)],
+    facts: &[(usize, Option<f64>)],
+) -> Vec<(i64, Option<f64>)> {
+    facts.iter().map(|(mi, x)| (masters[mi % masters.len().max(1)].0, *x)).collect()
 }
 
 fn masters() -> impl Strategy<Value = Vec<(i64, String, f64)>> {
@@ -63,6 +81,63 @@ fn masters() -> impl Strategy<Value = Vec<(i64, String, f64)>> {
 
 fn facts() -> impl Strategy<Value = Vec<(usize, f64)>> {
     proptest::collection::vec((0usize..24, -50.0f64..50.0), 0..40)
+}
+
+fn nullable_masters() -> impl Strategy<Value = Vec<(i64, String, Option<f64>)>> {
+    proptest::collection::vec(
+        (0i64..40, "[a-c]", proptest::option::of(-50.0f64..50.0)),
+        1..25,
+    )
+}
+
+fn nullable_facts() -> impl Strategy<Value = Vec<(usize, Option<f64>)>> {
+    proptest::collection::vec((0usize..24, proptest::option::of(-50.0f64..50.0)), 0..40)
+}
+
+/// The first column of every result row, as ids.
+fn ids(db: &Database, sql: &str) -> Vec<i64> {
+    let rs = run_sql(db, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    rs.rows
+        .iter()
+        .map(|r| match r[0] {
+            Value::Int(id) => id,
+            ref other => panic!("{sql}: id {other:?}"),
+        })
+        .collect()
+}
+
+/// The ids of the masters a WHERE predicate keeps, in storage order.
+/// `keep` answers in SQL's three values; only `Some(true)` keeps a row.
+fn kept(
+    masters: &[(i64, String, Option<f64>)],
+    keep: impl Fn(&(i64, String, Option<f64>)) -> Option<bool>,
+) -> Vec<i64> {
+    masters.iter().filter(|m| keep(m) == Some(true)).map(|m| m.0).collect()
+}
+
+/// `MAX` as the engine folds it: NULLs skipped, NULL over no values.
+fn max(xs: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    xs.into_iter().flatten().reduce(f64::max)
+}
+
+/// `AVG` as the engine folds it: a sum in storage order over the
+/// non-NULL values, divided by their count.
+fn avg(xs: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    let vals: Vec<f64> = xs.into_iter().flatten().collect();
+    let sum = vals.iter().fold(0.0, |sum, x| sum + x);
+    (!vals.is_empty()).then(|| sum / vals.len() as f64)
+}
+
+/// SQL `v IN (list)` with NULL propagation.
+fn sql_in(v: Option<f64>, list: &[Option<f64>]) -> Option<bool> {
+    let v = v?;
+    if list.contains(&Some(v)) {
+        Some(true)
+    } else if list.contains(&None) {
+        None
+    } else {
+        Some(false)
+    }
 }
 
 proptest! {
@@ -185,5 +260,104 @@ proptest! {
         let hash = run_sql(&db, "SELECT f.x, m.grp FROM f JOIN m ON f.mid = m.id").unwrap();
         let nested = run_sql(&db, "SELECT f.x, m.grp FROM f, m WHERE f.mid = m.id").unwrap();
         prop_assert!(sqlengine::results_match(&hash, &nested, false));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Uncorrelated scalar subqueries compared with `=` and `>` against
+    /// `MAX` and `AVG`, including the NULL of an empty or all-NULL `f.x`.
+    #[test]
+    fn uncorrelated_scalar_subqueries(ms in nullable_masters(), fs in nullable_facts()) {
+        let db = nullable_database(&ms, &fs);
+        let xs: Vec<Option<f64>> = fact_rows(&ms, &fs).into_iter().map(|(_, x)| x).collect();
+        for (agg, want) in [("MAX", max(xs.clone())), ("AVG", avg(xs.clone()))] {
+            for op in ["=", ">"] {
+                let sql = format!("SELECT id FROM m WHERE val {op} (SELECT {agg}(x) FROM f)");
+                let expect = kept(&ms, |(_, _, val)| {
+                    let (val, want) = ((*val)?, want?);
+                    Some(if op == "=" { val == want } else { val > want })
+                });
+                prop_assert_eq!(ids(&db, &sql), expect, "{}", sql);
+            }
+        }
+    }
+
+    /// Uncorrelated `IN`, `NOT IN` and `EXISTS`, over a filtered, an
+    /// empty and an all-NULL subquery result.
+    #[test]
+    fn uncorrelated_membership_subqueries(
+        ms in nullable_masters(),
+        fs in nullable_facts(),
+        t in -60.0f64..60.0,
+    ) {
+        let db = nullable_database(&ms, &fs);
+        let rows = fact_rows(&ms, &fs);
+        let over_t: Vec<Option<f64>> = rows
+            .iter()
+            .filter(|(_, x)| x.is_some_and(|x| x > t))
+            .map(|(mid, _)| Some(*mid as f64))
+            .collect();
+        let nulls: Vec<Option<f64>> =
+            rows.iter().filter(|(_, x)| x.is_none()).map(|_| None).collect();
+        for (filter, list) in [(format!("x > {t}"), over_t), ("x > 1000".to_string(), Vec::new())] {
+            let sql = format!("SELECT id FROM m WHERE id IN (SELECT mid FROM f WHERE {filter})");
+            let expect = kept(&ms, |(id, _, _)| sql_in(Some(*id as f64), &list));
+            prop_assert_eq!(ids(&db, &sql), expect, "{}", sql);
+            let sql =
+                format!("SELECT id FROM m WHERE id NOT IN (SELECT mid FROM f WHERE {filter})");
+            let expect = kept(&ms, |(id, _, _)| sql_in(Some(*id as f64), &list).map(|b| !b));
+            prop_assert_eq!(ids(&db, &sql), expect, "{}", sql);
+            let sql = format!("SELECT id FROM m WHERE EXISTS (SELECT 1 FROM f WHERE {filter})");
+            let expect = kept(&ms, |_| Some(!list.is_empty()));
+            prop_assert_eq!(ids(&db, &sql), expect, "{}", sql);
+        }
+        // A column of NULLs: no value is IN it or provably NOT IN it.
+        let sql = "SELECT id FROM m WHERE val IN (SELECT x FROM f WHERE x IS NULL)";
+        prop_assert_eq!(ids(&db, sql), kept(&ms, |(_, _, val)| sql_in(*val, &nulls)), "{}", sql);
+        let sql = "SELECT id FROM m WHERE val NOT IN (SELECT x FROM f WHERE x IS NULL)";
+        let expect = kept(&ms, |(_, _, val)| sql_in(*val, &nulls).map(|b| !b));
+        prop_assert_eq!(ids(&db, sql), expect, "{}", sql);
+        let sql = "SELECT id FROM m WHERE val = (SELECT x FROM f WHERE x IS NULL)";
+        prop_assert_eq!(ids(&db, sql), Vec::<i64>::new(), "{}", sql);
+    }
+
+    /// Correlated subqueries see each outer row: a per-master `AVG` and
+    /// an `EXISTS` over that master's facts.
+    #[test]
+    fn correlated_subqueries(
+        ms in nullable_masters(),
+        fs in nullable_facts(),
+        t in -60.0f64..60.0,
+    ) {
+        let db = nullable_database(&ms, &fs);
+        let rows = fact_rows(&ms, &fs);
+        let xs_of = |id: i64| rows.iter().filter(move |(mid, _)| *mid == id).map(|(_, x)| *x);
+        let sql = "SELECT id FROM m WHERE val > (SELECT AVG(x) FROM f WHERE f.mid = m.id)";
+        let expect = kept(&ms, |(id, _, val)| Some((*val)? > avg(xs_of(*id))?));
+        prop_assert_eq!(ids(&db, sql), expect, "{}", sql);
+        let sql = format!(
+            "SELECT id FROM m WHERE EXISTS (SELECT 1 FROM f WHERE f.mid = m.id AND f.x > {t})"
+        );
+        let expect = kept(&ms, |(id, _, _)| Some(xs_of(*id).any(|x| x.is_some_and(|x| x > t))));
+        prop_assert_eq!(ids(&db, &sql), expect, "{}", sql);
+    }
+
+    /// Name resolution with the same table inside and out: a bare `val`
+    /// in the subquery is the inner `m` (an uncorrelated maximum over all
+    /// rows), and only an alias-qualified reference reaches the outer row.
+    #[test]
+    fn shadowed_names_resolve_to_the_innermost_table(ms in nullable_masters()) {
+        let db = nullable_database(&ms, &[]);
+        let top = max(ms.iter().map(|m| m.2));
+        let sql = "SELECT id FROM m a WHERE val = (SELECT MAX(val) FROM m)";
+        prop_assert_eq!(ids(&db, sql), kept(&ms, |(_, _, val)| Some((*val)? == top?)), "{}", sql);
+        let sql = "SELECT id FROM m a WHERE val = (SELECT MAX(b.val) FROM m b WHERE b.grp = a.grp)";
+        let expect = kept(&ms, |(_, grp, val)| {
+            let group_top = max(ms.iter().filter(|m| m.1 == *grp).map(|m| m.2));
+            Some((*val)? == group_top?)
+        });
+        prop_assert_eq!(ids(&db, sql), expect, "{}", sql);
     }
 }

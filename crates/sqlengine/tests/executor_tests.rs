@@ -273,6 +273,30 @@ fn not_in_subquery() {
     assert_eq!(r.len(), 2);
 }
 
+/// A subquery first runs when an outer row reaches it, so a broken one
+/// under an empty scan does no harm.
+#[test]
+fn failing_subquery_under_an_empty_scan_is_never_run() {
+    let populated = fund_db();
+    let empty = Database::new(populated.catalog().clone());
+    let sql = "SELECT fname FROM mf_fundinfo WHERE fcode = (SELECT MAX(fcode) FROM ghost_table)";
+    assert!(run_sql(&populated, sql).is_err());
+    assert_eq!(rows(&empty, sql), Vec::<Vec<Value>>::new());
+}
+
+/// `x IN (subquery)` with a NULL `x` is NULL without running the
+/// subquery: only rows whose operand is NULL reach this broken one.
+#[test]
+fn null_in_operand_never_runs_its_subquery() {
+    let db = fund_db();
+    let join = "SELECT f.fcode FROM mf_fundinfo f LEFT JOIN mf_fundnav n \
+                ON f.fcode = n.fcode AND n.tradingday = '2022-01-03'";
+    let failing = "n.nav IN (SELECT nav FROM ghost_table)";
+    assert!(run_sql(&db, &format!("{join} WHERE {failing}")).is_err());
+    let sql = format!("{join} WHERE n.nav IS NULL AND {failing}");
+    assert_eq!(rows(&db, &sql), Vec::<Vec<Value>>::new());
+}
+
 #[test]
 fn correlated_exists() {
     let db = fund_db();

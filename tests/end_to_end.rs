@@ -27,6 +27,32 @@ fn benchmark_matches_paper_shape() {
     assert_eq!(ds.db(DbId::Macro).catalog().tables.len(), 19);
 }
 
+/// Pins every gold query's result across commits: FNV-1a over the
+/// `Debug` text of `sqlengine::run_sql` for all 4,966 examples in
+/// dataset order, each framed by its byte length (the framing of
+/// `batch_equality.rs`'s dev-answer digest). It is the differential test
+/// for the executor's per-statement subquery memo: the constant was
+/// recorded before the memo existed. It holds in debug and release
+/// builds; change it only in a commit meant to move execution results.
+#[test]
+fn gold_results_match_the_recorded_digest() {
+    const RECORDED: u64 = 0xac96_3a1d_d55f_4f98;
+    let ds = dataset();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for e in &ds.examples {
+        let text = format!("{:?}", sqlengine::run_sql(ds.db(e.db), &e.sql));
+        feed(&(text.len() as u64).to_le_bytes());
+        feed(text.as_bytes());
+    }
+    assert_eq!(ds.examples.len(), 4966, "benchmark size changed");
+    assert_eq!(h, RECORDED, "gold results moved: digest {h:#018x}");
+}
+
 #[test]
 fn finsql_answers_execute() {
     let ds = dataset();
