@@ -120,8 +120,9 @@ impl LiveOutcome {
 /// (threaded through by value because the scheduler pass needs `Arc`
 /// ownership) together with the outcome. Panics — with the offending
 /// question — if any served answer differs from the cold reference, if
-/// an epoch bump fails to move the fingerprint, or if the cache serves
-/// across an epoch boundary.
+/// the incrementally absorbed value index differs from the rebuilt one,
+/// if an epoch bump fails to move the fingerprint, or if the cache
+/// serves across an epoch boundary.
 pub fn evaluate_ex_live(
     ds: &mut BullDataset,
     mut system: FinSql,
@@ -194,6 +195,10 @@ pub fn evaluate_ex_live(
             // rows that already passed the live path once.
             cold_ds.db_mut(db).replay(ds.db(db).change_log()).expect("replay onto equal base");
             cold.rebuild_data(db, cold_ds.db(db));
+            assert!(
+                system.runtime(db).values == cold.runtime(db).values,
+                "incrementally absorbed value index diverged from the rebuild (round {round}, {db})"
+            );
             assert_eq!(
                 cold_ds.db(db).epoch(),
                 ds.db(db).epoch(),

@@ -237,10 +237,13 @@ impl FinSql {
 
     /// Catches one runtime up with its database after live appends, by
     /// absorbing the change-log tail this runtime has not yet seen:
-    /// every unseen [`sqlengine::ChangeRecord`]'s rows are unioned into
-    /// the [`ValueIndex`] (incremental refresh, structurally identical
-    /// to a from-scratch rebuild — [`FinSql::rebuild_data`] is the
-    /// reference), and the runtime's epoch advances to the database's.
+    /// every unseen [`sqlengine::ChangeRecord`]'s rows go to
+    /// [`ValueIndex::absorb_batch`], which lowercases and sorts only the
+    /// values new to the index and merges them in, without re-deriving
+    /// the old entries. The result is structurally equal (`==`) to a
+    /// from-scratch rebuild — [`FinSql::rebuild_data`] is the reference,
+    /// and the live-equality suite and `evaluate_ex_live` assert the
+    /// equality. The runtime's epoch advances to the database's.
     /// The epoch move shifts [`FinSql::config_fingerprint`], so every
     /// cache entry minted before the append is unreachable afterwards.
     ///

@@ -95,13 +95,18 @@ impl Harness {
 
     /// Replays the live change logs onto the shadow and rebuilds its
     /// data-derived artifacts from scratch, then proves both systems
-    /// agree on where they are: same per-database epochs, same
-    /// whole-system fingerprint.
+    /// agree on where they are: same per-database epochs, structurally
+    /// equal value indexes, same whole-system fingerprint.
     fn catch_up_cold(&mut self) {
         for db in DbId::ALL {
             self.cold_ds.db_mut(db).replay(self.ds.db(db).change_log()).expect("replay");
             self.cold.rebuild_data(db, self.cold_ds.db(db));
             assert_eq!(self.cold_ds.db(db).epoch(), self.ds.db(db).epoch());
+            assert!(
+                self.live.as_ref().expect("engine parked").runtime(db).values
+                    == self.cold.runtime(db).values,
+                "incrementally absorbed value index diverged from the rebuild ({db})"
+            );
         }
         assert_eq!(
             self.live.as_ref().expect("engine parked").config_fingerprint(),
