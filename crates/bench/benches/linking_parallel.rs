@@ -1,12 +1,15 @@
-//! The parallel Cross-Encoder claim (paper §6.2, Figure 9): serial
-//! per-table scoring scales linearly with schema width, the per-table
-//! parallel batch does not. Measured on the real trained linker over the
-//! real BULL schemas and synthetically widened ones.
+//! The parallel Cross-Encoder claim (paper §6.2, Figure 9): scoring the
+//! per-table inputs as one batch beats scoring them one after another.
+//! The CPU analogue here is the batched sweep, `link_batch` over a
+//! precomputed `SchemaFeatureMatrix` (bitwise-equal scores), against the
+//! serial per-table `link`, which re-derives every pair feature from
+//! strings. No thread parallelism: measured on the real BULL stock
+//! schema and synthetically widened ones.
 
 use bull::{DbId, Lang};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crossenc::model::SchemaViews;
-use crossenc::{CrossEncoder, InferenceMode};
+use crossenc::CrossEncoder;
 use sqlkit::catalog::{CatalogColumn, CatalogSchema, CatalogTable, ColType};
 
 /// A synthetic schema with `n` tables of 15 columns, BULL-style widths.
@@ -41,11 +44,12 @@ fn bench_linking(c: &mut Criterion) {
     for n_tables in [8usize, 31, 64, 128] {
         let schema = wide_schema(n_tables);
         let views = SchemaViews::build(&schema, Lang::En);
+        let matrix = model.schema_matrix(&views);
         group.bench_with_input(BenchmarkId::new("serial", n_tables), &views, |b, v| {
-            b.iter(|| model.link(question, v, InferenceMode::Serial))
+            b.iter(|| model.link(question, v))
         });
-        group.bench_with_input(BenchmarkId::new("parallel", n_tables), &views, |b, v| {
-            b.iter(|| model.link(question, v, InferenceMode::Parallel))
+        group.bench_with_input(BenchmarkId::new("batched", n_tables), &matrix, |b, m| {
+            b.iter(|| model.link_batch(&[question], m))
         });
     }
     group.finish();
@@ -53,12 +57,11 @@ fn bench_linking(c: &mut Criterion) {
     // The real BULL stock schema (31 tables, ~420 columns).
     let stock = DbId::Stock.schema();
     let views = SchemaViews::build(&stock, Lang::En);
+    let matrix = model.schema_matrix(&views);
     let mut group = c.benchmark_group("bull_stock_linking");
-    group.bench_function("serial", |b| {
-        b.iter(|| model.link(question, &views, InferenceMode::Serial))
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| model.link(question, &views, InferenceMode::Parallel))
+    group.bench_function("serial", |b| b.iter(|| model.link(question, &views)));
+    group.bench_function("batched", |b| {
+        b.iter(|| model.link_batch(&[question], &matrix))
     });
     group.finish();
 }

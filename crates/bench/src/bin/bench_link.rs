@@ -5,16 +5,16 @@
 //!
 //! Two measurements, both over every dev question of every database:
 //!
-//! 1. *Linking only* — per-question serial, per-question parallel, and
-//!    one `link_batch` matrix sweep per database, with the three outputs
-//!    asserted bitwise identical before any number is reported.
+//! 1. *Linking only* — per-question serial `link` and one `link_batch`
+//!    matrix sweep per database, with the two outputs asserted bitwise
+//!    identical before any number is reported.
 //! 2. *Full answer path* — `answer_batch_cached` cold and warm, the
 //!    measurement `BENCH_batch.json` records, now with linking riding
 //!    the precomputed schema feature matrix.
 
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::{DbId, Lang, Split};
-use crossenc::{InferenceMode, LinkedSchema};
+use crossenc::LinkedSchema;
 use finsql_core::cache::AnswerCache;
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
@@ -51,32 +51,25 @@ fn main() {
         .collect();
     let total: usize = per_db.iter().map(|(_, qs)| qs.len()).sum();
 
-    // 1. Linking-only sweep, three paths, asserted bitwise identical.
+    // 1. Linking-only sweep, two paths, asserted bitwise identical.
     let mut serial_wall = Duration::ZERO;
-    let mut parallel_wall = Duration::ZERO;
     let mut batched_wall = Duration::ZERO;
     for (db, qs) in &per_db {
         let rt = system.runtime(*db);
         let start = Instant::now();
         let serial: Vec<LinkedSchema> =
-            qs.iter().map(|q| system.linker.link(q, &rt.views, InferenceMode::Serial)).collect();
+            qs.iter().map(|q| system.linker.link(q, &rt.views)).collect();
         serial_wall += start.elapsed();
-        let start = Instant::now();
-        let parallel: Vec<LinkedSchema> =
-            qs.iter().map(|q| system.linker.link(q, &rt.views, InferenceMode::Parallel)).collect();
-        parallel_wall += start.elapsed();
         let start = Instant::now();
         let batched = system.linker.link_batch(qs, &rt.link_matrix);
         batched_wall += start.elapsed();
-        for (((q, s), p), b) in qs.iter().zip(&serial).zip(&parallel).zip(&batched) {
-            assert_eq!(bits(s), bits(p), "{db}: serial vs parallel diverged on {q:?}");
+        for ((q, s), b) in qs.iter().zip(&serial).zip(&batched) {
             assert_eq!(bits(s), bits(b), "{db}: batched sweep diverged on {q:?}");
         }
     }
     let lps = |wall: Duration| total as f64 / wall.as_secs_f64().max(1e-9);
     println!("linking-only sweep: {total} questions");
     println!("  per-question serial:   {:>9.0} links/sec  ({serial_wall:.2?})", lps(serial_wall));
-    println!("  per-question parallel: {:>9.0} links/sec  ({parallel_wall:.2?})", lps(parallel_wall));
     println!("  batched matrix sweep:  {:>9.0} links/sec  ({batched_wall:.2?})", lps(batched_wall));
     let link_speedup = lps(batched_wall) / lps(serial_wall);
     println!("  speedup batched/serial: {link_speedup:.2}x");
@@ -113,7 +106,6 @@ fn main() {
         "{{\n  \"sweep\": {{\"questions\": {total}, \"per_db\": {{{}}}}},\n  \
          \"batch\": {batch},\n  \"linking_only\": {{\n    \
          \"per_question_serial\": {{\"wall_secs\": {:.4}, \"links_per_sec\": {:.0}}},\n    \
-         \"per_question_parallel\": {{\"wall_secs\": {:.4}, \"links_per_sec\": {:.0}}},\n    \
          \"batched_matrix_sweep\": {{\"wall_secs\": {:.4}, \"links_per_sec\": {:.0}}},\n    \
          \"speedup_batched_vs_serial\": {:.2},\n    \
          \"bitwise_identical\": true\n  }},\n  \"answer_path\": {{\n    \
@@ -128,8 +120,6 @@ fn main() {
             .join(", "),
         serial_wall.as_secs_f64(),
         lps(serial_wall),
-        parallel_wall.as_secs_f64(),
-        lps(parallel_wall),
         batched_wall.as_secs_f64(),
         lps(batched_wall),
         link_speedup,

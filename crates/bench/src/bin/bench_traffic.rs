@@ -1,11 +1,11 @@
-//! Regenerates `results/BENCH_traffic.json`: skew-aware cache policy
-//! comparison under Zipf traffic through the full scheduler path.
+//! Regenerates `results/BENCH_traffic.json`: the skew-aware cache
+//! (SLRU + TinyLFU admission) under Zipf traffic through the full
+//! scheduler path.
 //!
 //! For each skew s ∈ {0.8, 1.0, 1.2}, one request schedule is minted
-//! from a seeded RNG and replayed against both cache policies (plain
-//! LRU, SLRU + TinyLFU admission) at equal capacity, with the question
-//! population a multiple of the capacity so eviction pressure is real.
-//! Reported per (s, policy): hit rate, admission/eviction counters,
+//! from a seeded RNG and replayed against a capped cache, with the
+//! question population a multiple of the capacity so eviction pressure
+//! is real. Reported per s: hit rate, admission/eviction counters,
 //! latency p50/p99/p999 from the scheduler-path histogram, throughput,
 //! stale-hit count (must be 0 — every answer is byte-checked against a
 //! fresh uncached reference) and the allocation-free-hit probe.
@@ -14,10 +14,9 @@
 //! `--cache-cap N` (capacity; default 512), `--workers N` (submitter
 //! threads), `--batch N` (scheduler micro-batch).
 
-use bench::traffic::{build_population, reference_answers, request_stream, PolicyOutcome, TrafficSpec};
+use bench::traffic::{build_population, reference_answers, request_stream, TrafficSpec};
 use bench::{dataset, headline_profile, HarnessOpts};
 use bull::Lang;
-use finsql_core::cache::CachePolicy;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::sync::Arc;
 
@@ -78,73 +77,54 @@ fn main() {
     for s in SKEWS {
         let stream = request_stream(&TrafficSpec { s, ..spec });
         println!("--- Zipf s={s}: {} distinct users ---", stream.distinct_users);
-        let mut per_policy: Vec<PolicyOutcome> = Vec::new();
-        for policy in CachePolicy::ALL {
-            let out =
-                bench::traffic::run_policy(&engine, &population, &refs, &stream, &spec, policy);
-            assert_eq!(
-                out.stale_hits, 0,
-                "{policy} at s={s} served an answer differing from the fresh reference"
-            );
-            assert!(out.byte_identical());
-            println!(
-                "{:<13} hit rate {:>6.2}%  p50 {:>8.1}us  p99 {:>9.1}us  p999 {:>9.1}us  \
-                 {:>8.0} q/s  rejected {:>6}  evicted {:>6}",
-                policy.as_str(),
-                out.hit_rate() * 100.0,
-                micros(out.latency.p50()),
-                micros(out.latency.p99()),
-                micros(out.latency.p999()),
-                out.throughput_qps(spec.requests),
-                out.admission_rejected,
-                out.evictions,
-            );
-            rows.push(format!(
-                "    {{\"s\": {s}, \"policy\": \"{}\", \"requests\": {}, \"population\": {}, \
-                 \"capacity\": {}, \"distinct_users\": {}, \"hit_rate\": {:.4}, \
-                 \"hits\": {}, \"misses\": {}, \"admission_rejected\": {}, \"evictions\": {}, \
-                 \"entries\": {}, \"protected_entries\": {}, \"p50_us\": {:.1}, \
-                 \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"wall_secs\": {:.3}, \
-                 \"questions_per_sec\": {:.1}, \"stale_hits\": {}, \"byte_identical\": {}, \
-                 \"hit_is_refcount_bump\": {}}}",
-                policy.as_str(),
-                spec.requests,
-                spec.population,
-                spec.capacity,
-                stream.distinct_users,
-                out.hit_rate(),
-                out.hits,
-                out.misses,
-                out.admission_rejected,
-                out.evictions,
-                out.entries,
-                out.protected_entries,
-                micros(out.latency.p50()),
-                micros(out.latency.p99()),
-                micros(out.latency.p999()),
-                out.wall.as_secs_f64(),
-                out.throughput_qps(spec.requests),
-                out.stale_hits,
-                out.byte_identical(),
-                out.hit_is_refcount_bump,
-            ));
-            per_policy.push(out);
-        }
-        let lru = &per_policy[0];
-        let slru = &per_policy[1];
-        println!(
-            "  SLRU+TinyLFU vs LRU hit-rate delta at s={s}: {:+.2} pts",
-            (slru.hit_rate() - lru.hit_rate()) * 100.0
+        let out = bench::traffic::run_policy(&engine, &population, &refs, &stream, &spec);
+        assert_eq!(
+            out.stale_hits, 0,
+            "s={s} served an answer differing from the fresh reference"
         );
+        assert!(out.byte_identical());
+        println!(
+            "hit rate {:>6.2}%  p50 {:>8.1}us  p99 {:>9.1}us  p999 {:>9.1}us  \
+             {:>8.0} q/s  rejected {:>6}  evicted {:>6}",
+            out.hit_rate() * 100.0,
+            micros(out.latency.p50()),
+            micros(out.latency.p99()),
+            micros(out.latency.p999()),
+            out.throughput_qps(spec.requests),
+            out.admission_rejected,
+            out.evictions,
+        );
+        rows.push(format!(
+            "    {{\"s\": {s}, \"requests\": {}, \"population\": {}, \
+             \"capacity\": {}, \"distinct_users\": {}, \"hit_rate\": {:.4}, \
+             \"hits\": {}, \"misses\": {}, \"admission_rejected\": {}, \"evictions\": {}, \
+             \"entries\": {}, \"protected_entries\": {}, \"p50_us\": {:.1}, \
+             \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"wall_secs\": {:.3}, \
+             \"questions_per_sec\": {:.1}, \"stale_hits\": {}, \"byte_identical\": {}, \
+             \"hit_is_refcount_bump\": {}}}",
+            spec.requests,
+            spec.population,
+            spec.capacity,
+            stream.distinct_users,
+            out.hit_rate(),
+            out.hits,
+            out.misses,
+            out.admission_rejected,
+            out.evictions,
+            out.entries,
+            out.protected_entries,
+            micros(out.latency.p50()),
+            micros(out.latency.p99()),
+            micros(out.latency.p999()),
+            out.wall.as_secs_f64(),
+            out.throughput_qps(spec.requests),
+            out.stale_hits,
+            out.byte_identical(),
+            out.hit_is_refcount_bump,
+        ));
         if (s - 1.0).abs() < f64::EPSILON {
             assert!(
-                slru.hit_rate() > lru.hit_rate(),
-                "SLRU+TinyLFU must strictly beat LRU at s=1.0: {:.4} vs {:.4}",
-                slru.hit_rate(),
-                lru.hit_rate()
-            );
-            assert!(
-                slru.hit_is_refcount_bump,
+                out.hit_is_refcount_bump,
                 "the hottest key must be served as a shared allocation"
             );
         }

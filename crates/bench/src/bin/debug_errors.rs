@@ -2,7 +2,6 @@
 
 use bench::{dataset, headline_profile};
 use bull::{DbId, Lang, Split};
-use crossenc::InferenceMode;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use std::collections::HashMap;
 
@@ -24,7 +23,7 @@ fn main() {
             .map(|p| p.skeleton.clone()).unwrap_or_default();
         let sk = best == gold_skel;
         skel_total += 1; if sk { skel_ok += 1; }
-        let linked = system.linker.link(q, &rt.views, InferenceMode::Parallel);
+        let linked = system.linker.link(q, &rt.views);
         let prompt_schema = linked.project(&rt.schema, 4, 8);
         let miss = e.gold_columns.iter().any(|(t,c)| !prompt_schema.has_column(t,c));
         if miss { prompt_miss += 1; }

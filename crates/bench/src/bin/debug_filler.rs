@@ -2,7 +2,6 @@
 
 use bench::{dataset, headline_profile};
 use bull::{DbId, Lang, Split};
-use crossenc::InferenceMode;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use simllm::slots::{FillOptions, SlotFiller};
 use std::collections::HashMap;
@@ -16,7 +15,7 @@ fn main() {
     for e in ds.examples_for(DbId::Fund, Split::Dev) {
         let q = e.question(Lang::En);
         let Some(shape) = simllm::shape_of(&e.sql) else { continue };
-        let linked = system.linker.link(q, &rt.views, InferenceMode::Parallel);
+        let linked = system.linker.link(q, &rt.views);
         let prompt_schema = linked.project(&rt.schema, 4, 8);
         let filler = SlotFiller::new(&prompt_schema, &rt.values, q);
         // The shared per-question stream, so this probe's draws line up

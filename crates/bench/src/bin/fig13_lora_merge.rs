@@ -10,7 +10,7 @@
 use augment::{build_training_mix, AugmentationFlags};
 use bench::{dataset, SEED};
 use bull::{BullDataset, DbId, Lang, Split};
-use crossenc::{CrossEncoder, InferenceMode};
+use crossenc::CrossEncoder;
 use finsql_core::calibrate::{calibrate, CalibrationConfig};
 use finsql_core::peft::{fewshot_from_scratch, fewshot_with_merge};
 use rand::rngs::StdRng;
@@ -135,7 +135,7 @@ fn macro_ex(
     let mut total = 0usize;
     for e in ds.examples_for(DbId::Macro, Split::Dev) {
         let q = e.question(lang);
-        let linked = linker.link(q, &views, InferenceMode::Parallel);
+        let linked = linker.link(q, &views);
         let prompt_schema = linked.project(schema, 4, 8);
         let mut rng = StdRng::seed_from_u64(SEED ^ q.len() as u64 ^ total as u64);
         let candidates = generator.generate(

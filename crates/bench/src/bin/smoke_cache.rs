@@ -18,8 +18,8 @@ fn main() {
     let ds = dataset();
     let system = FinSql::build(&ds, headline_profile(Lang::En), FinSqlConfig::standard(Lang::En));
     // `--no-cache` is meaningless here: the smoke always runs a cache.
-    let cache = AnswerCache::with_policy(opts.cache_cap, opts.cache_policy.unwrap_or_default());
-    println!("cache policy {}, capacity {}", cache.policy(), opts.cache_cap);
+    let cache = AnswerCache::with_capacity(opts.cache_cap);
+    println!("cache capacity {}", opts.cache_cap);
     let plan = EvalPlan { batch: 1, limit_per_db: Some(PER_DB), ..opts.plan };
     let mut passes = Vec::new();
     for pass in 0..2 {

@@ -7,7 +7,7 @@ pub mod traffic;
 
 use bull::{BullDataset, DbId, Lang, Split};
 use finsql_core::baselines::{FtBaseline, GptBaseline, GptMethod, GptModel, SharedGptBaseline};
-use finsql_core::cache::{Answerer, AnswerCache, CachePolicy};
+use finsql_core::cache::{Answerer, AnswerCache};
 use finsql_core::eval::{evaluate_ex, EvalOutcome, EvalPlan};
 use finsql_core::metrics::EvalMetrics;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
@@ -23,11 +23,8 @@ pub const SEED: u64 = bull::DEFAULT_SEED;
 /// `--batch N` sets the micro-batch size of the FinSQL answer engine
 /// (default 8; `--batch 1` answers each question as a batch of one —
 /// answers are byte-identical either way), `--no-cache` disables the
-/// keyed answer cache, `--cache-cap N` caps the cache at `N` entries
-/// (`0` = unbounded, the default), and `--cache-policy lru|slru-tinylfu`
-/// selects the eviction/admission policy of a capped cache (default: the
-/// policy in `FinSqlConfig`, i.e. SLRU + TinyLFU; the policy can change
-/// hit rates, never answers).
+/// keyed answer cache, and `--cache-cap N` caps the cache at `N` entries
+/// (`0` = unbounded, the default).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HarnessOpts {
     /// Workers and micro-batch size of the evaluation run (whole dev
@@ -35,9 +32,6 @@ pub struct HarnessOpts {
     pub plan: EvalPlan,
     pub no_cache: bool,
     pub cache_cap: usize,
-    /// Eviction/admission policy for the answer cache; `None` keeps the
-    /// [`FinSqlConfig`] default.
-    pub cache_policy: Option<CachePolicy>,
 }
 
 impl HarnessOpts {
@@ -65,14 +59,6 @@ impl HarnessOpts {
                         .and_then(|v| v.parse().ok())
                         .expect("--cache-cap needs a number");
                 }
-                "--cache-policy" => {
-                    opts.cache_policy = Some(
-                        args.next()
-                            .as_deref()
-                            .and_then(CachePolicy::parse)
-                            .expect("--cache-policy needs lru or slru-tinylfu"),
-                    );
-                }
                 "--batch" => {
                     opts.plan.batch = args
                         .next()
@@ -86,16 +72,12 @@ impl HarnessOpts {
     }
 
     /// The answer cache these options call for: `None` under
-    /// `--no-cache`, otherwise a cache capped at `--cache-cap` entries
-    /// running the `--cache-policy` eviction/admission policy.
+    /// `--no-cache`, otherwise a cache capped at `--cache-cap` entries.
     pub fn cache(&self) -> Option<AnswerCache> {
         if self.no_cache {
             None
         } else {
-            Some(AnswerCache::with_policy(
-                self.cache_cap,
-                self.cache_policy.unwrap_or_default(),
-            ))
+            Some(AnswerCache::with_capacity(self.cache_cap))
         }
     }
 }

@@ -3,23 +3,22 @@
 //! across all three databases, driven through the full coalescing
 //! [`BatchScheduler`] path against a capacity-bounded [`AnswerCache`].
 //!
-//! The harness exists to measure *eviction/admission policy* — plain LRU
-//! vs segmented-LRU with TinyLFU admission — under realistic skew, so it
-//! is built around two invariants the rest of the suite proves and this
-//! module re-checks end to end:
+//! The harness exists to measure the cache's segmented-LRU eviction with
+//! TinyLFU admission under realistic skew, so it is built around two
+//! invariants the rest of the suite proves and this module re-checks end
+//! to end:
 //!
-//! 1. **The policy can only change hit or miss, never an answer.** Every
-//!    served answer is compared byte-for-byte against a fresh uncached
-//!    reference minted before the run; a mismatch counts as a stale hit
-//!    and fails the run.
+//! 1. **Eviction and admission can only change hit or miss, never an
+//!    answer.** Every served answer is compared byte-for-byte against a
+//!    fresh uncached reference minted before the run; a mismatch counts
+//!    as a stale hit and fails the run.
 //! 2. **Determinism.** The request schedule is minted once per skew
 //!    setting from a seeded RNG (the same `seed → stream` discipline as
-//!    `FinSql::question_rng`) and replayed identically against every
-//!    policy, so hit-rate deltas are attributable to the policy alone.
+//!    `FinSql::question_rng`), so a run replays the same requests.
 
 use bull::{BullDataset, DbId, Lang, Split};
 use finsql_core::batch::{BatchConfig, BatchScheduler};
-use finsql_core::cache::{AnswerCache, Answerer, CachePolicy};
+use finsql_core::cache::{AnswerCache, Answerer};
 use finsql_core::metrics::{EvalMetrics, HistogramSnapshot};
 use finsql_core::pipeline::FinSql;
 use rand::rngs::StdRng;
@@ -138,7 +137,7 @@ pub fn reference_answers(system: &FinSql, population: &[(DbId, String)]) -> Vec<
 }
 
 /// A minted request schedule: `questions[i]` is the population index of
-/// request `i`. The same schedule is replayed against every policy.
+/// request `i`.
 pub struct RequestStream {
     pub questions: Vec<u32>,
     /// Distinct synthetic users that issued the requests.
@@ -161,10 +160,9 @@ pub fn request_stream(spec: &TrafficSpec) -> RequestStream {
     RequestStream { questions, distinct_users: users.len() }
 }
 
-/// Everything one policy's run produced.
+/// Everything one run produced.
 #[derive(Debug, Clone)]
 pub struct PolicyOutcome {
-    pub policy: CachePolicy,
     pub hits: u64,
     pub misses: u64,
     pub admission_rejected: u64,
@@ -200,8 +198,8 @@ impl PolicyOutcome {
     }
 }
 
-/// Replays one minted schedule against one policy through the full
-/// scheduler path: `submitters` threads submit concurrently, workers
+/// Replays one minted schedule through the full scheduler path against a
+/// fresh cache capped at `spec.capacity`: `submitters` threads submit concurrently, workers
 /// coalesce micro-batches, the cache sits in front of the engine, and
 /// per-request latency (queue wait + batching window + compute) lands in
 /// the metrics histogram. Every answer is checked against `refs`.
@@ -211,9 +209,8 @@ pub fn run_policy(
     refs: &[String],
     stream: &RequestStream,
     spec: &TrafficSpec,
-    policy: CachePolicy,
 ) -> PolicyOutcome {
-    let cache = Arc::new(AnswerCache::with_policy(spec.capacity, policy));
+    let cache = Arc::new(AnswerCache::with_capacity(spec.capacity));
     let metrics = Arc::new(EvalMetrics::new());
     let stale = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
@@ -265,7 +262,6 @@ pub fn run_policy(
     };
 
     PolicyOutcome {
-        policy,
         hits: stats.hits,
         misses: stats.misses,
         admission_rejected: stats.admission_rejected,

@@ -38,7 +38,7 @@ pub mod tinylfu;
 
 pub use batch::{BatchConfig, BatchScheduler};
 pub use cache::{
-    Answerer, AnswerCache, CachePolicy, CacheStats, ConfigFingerprint, FingerprintBuilder,
+    Answerer, AnswerCache, CacheStats, ConfigFingerprint, FingerprintBuilder,
     InsertOutcome,
 };
 pub use calibrate::{calibrate, calibrate_with_stats, CalibrationConfig, CalibrationStats};

@@ -35,12 +35,6 @@ pub struct FinSqlConfig {
     /// Sampling temperature.
     pub temperature: f64,
     pub seed: u64,
-    /// The eviction/admission policy of any [`crate::cache::AnswerCache`]
-    /// built for this system. Deliberately *not* fingerprinted: a policy
-    /// decides which deterministic answers stay resident (hit vs
-    /// recompute), never what an answer is, so toggling it must keep
-    /// every cache entry valid (`fingerprint_prop` pins this down).
-    pub cache_policy: crate::cache::CachePolicy,
 }
 
 impl FinSqlConfig {
@@ -55,7 +49,6 @@ impl FinSqlConfig {
             n_candidates: 5,
             temperature: 0.7,
             seed: 0xF1A5,
-            cache_policy: crate::cache::CachePolicy::SlruTinyLfu,
         }
     }
 }
@@ -319,11 +312,9 @@ impl FinSql {
     }
 
     /// An [`crate::cache::AnswerCache`] holding at most `capacity`
-    /// entries (0 = unbounded) under this system's configured
-    /// [`crate::cache::CachePolicy`] — the constructor the harnesses use
-    /// so `FinSqlConfig::cache_policy` actually drives serving.
+    /// entries (0 = unbounded) — the constructor the harnesses use.
     pub fn new_cache(&self, capacity: usize) -> crate::cache::AnswerCache {
-        crate::cache::AnswerCache::with_policy(capacity, self.config.cache_policy)
+        crate::cache::AnswerCache::with_capacity(capacity)
     }
 
     /// Hashes every configuration knob that can change an answer into one
@@ -402,11 +393,6 @@ pub fn question_rng(seed: u64, db: DbId, question: &str) -> StdRng {
 
 /// Pushes every [`FinSqlConfig`] knob into a fingerprint, each in its own
 /// fixed-width slot so any single mutation changes the result.
-///
-/// [`FinSqlConfig::cache_policy`] is deliberately absent: an
-/// eviction/admission policy decides hit-vs-recompute for answers that
-/// are deterministic per key, so it can never change what is served —
-/// splitting keys on it would only discard warm entries for nothing.
 pub fn fingerprint_config(b: FingerprintBuilder, config: &FinSqlConfig) -> FingerprintBuilder {
     b.push_str(config.lang.suffix())
         .push_bool(config.augmentation.cot)

@@ -2,12 +2,12 @@
 //!
 //! The [`FrequencySketch`] estimates how often a key hash has been
 //! looked up recently. [`AnswerCache`](crate::cache::AnswerCache) keeps
-//! one per shard under [`CachePolicy::SlruTinyLfu`](crate::cache::CachePolicy)
-//! and consults it at capacity: a newly inserted candidate may displace
-//! the eviction victim only when its estimated frequency is *strictly*
-//! greater than the victim's. One-shot keys (a long tail of questions
-//! asked exactly once) therefore bounce off a full shard instead of
-//! flushing the hot set — the classic TinyLFU scan/flood resistance.
+//! one per shard of a capped cache and consults it at capacity: a newly
+//! inserted candidate may displace the eviction victim only when its
+//! estimated frequency is *strictly* greater than the victim's. One-shot
+//! keys (a long tail of questions asked exactly once) therefore bounce
+//! off a full shard instead of flushing the hot set — the classic
+//! TinyLFU scan/flood resistance.
 //!
 //! Determinism: the sketch is pure integer arithmetic over the key hash
 //! — four fixed odd-constant row seeds, no `HashMap` iteration, no

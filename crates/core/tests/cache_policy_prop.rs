@@ -5,7 +5,7 @@
 //!
 //! 1. **Segment bounds**: under any workload the protected segment never
 //!    exceeds its per-shard cap, and total residency never exceeds the
-//!    shard-rounded capacity — for both policies.
+//!    shard-rounded capacity.
 //! 2. **Sketch order preservation**: halving the frequency sketch keeps
 //!    the relative order of any two keys' estimates (ties may form, but
 //!    never invert).
@@ -14,26 +14,22 @@
 //!    identical residency probes — the admission duel has no hidden
 //!    state beyond the replayed operations.
 //! 4. **One-shot flood (adversarial)**: a hot key followed by a flood of
-//!    cold one-shot keys survives under SLRU+TinyLFU but is provably
-//!    evicted by plain LRU — the scan-resistance the admission filter
-//!    exists for.
-//! 5. **Policy neutrality (differential)**: every answer served by a
-//!    real trained system through a capped LRU cache, a capped
-//!    SLRU+TinyLFU cache, and no cache at all is byte-identical — the
-//!    policy decides residency, never bytes.
+//!    cold one-shot keys survives, and the flood is provably turned away
+//!    at the hot key's own shard — the scan-resistance the admission
+//!    filter exists for.
+//! 5. **Residency, never bytes (differential)**: every answer served by a
+//!    real trained system through a tightly capped cache and with no
+//!    cache at all is byte-identical — eviction and admission decide
+//!    residency, never bytes.
 
 use bull::{DbId, Lang, Split};
-use finsql_core::cache::{AnswerCache, Answerer, CachePolicy, ConfigFingerprint};
+use finsql_core::cache::{AnswerCache, Answerer, ConfigFingerprint};
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use finsql_core::tinylfu::FrequencySketch;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const FP: ConfigFingerprint = ConfigFingerprint(0x5EED);
-
-fn policy() -> impl Strategy<Value = CachePolicy> {
-    prop_oneof![Just(CachePolicy::Lru), Just(CachePolicy::SlruTinyLfu)]
-}
 
 /// One replayable cache operation over a small key universe.
 #[derive(Debug, Clone, Copy)]
@@ -65,14 +61,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Claim 1: per-segment capacity bounds hold under arbitrary
-    /// get/insert interleavings, for both policies.
+    /// get/insert interleavings.
     #[test]
     fn segment_bounds_hold_under_arbitrary_workloads(
         cap in 1usize..64,
-        policy in policy(),
         ops in ops(),
     ) {
-        let cache = AnswerCache::with_policy(cap, policy);
+        let cache = AnswerCache::with_capacity(cap);
         let shard_cap = cache.shard_cap().expect("capped cache has a shard cap");
         for op in ops {
             apply(&cache, op);
@@ -92,12 +87,6 @@ proptest! {
                 shards
             );
             prop_assert!(stats.protected_entries <= stats.entries);
-            if policy == CachePolicy::Lru {
-                prop_assert_eq!(
-                    stats.protected_entries, 0,
-                    "plain LRU has no protected segment"
-                );
-            }
         }
     }
 
@@ -143,11 +132,10 @@ proptest! {
     #[test]
     fn admission_is_deterministic_across_rebuilds(
         cap in 1usize..48,
-        policy in policy(),
         ops in ops(),
     ) {
         let run = || {
-            let cache = AnswerCache::with_policy(cap, policy);
+            let cache = AnswerCache::with_capacity(cap);
             for &op in &ops {
                 apply(&cache, op);
             }
@@ -184,50 +172,62 @@ proptest! {
     }
 }
 
+/// Whether `question` routes to the same shard as `anchor`. In a fresh
+/// cache of one entry per shard that holds only `anchor` (never looked
+/// up, so at frequency 0), an insert of `question` at frequency 0 is
+/// turned away exactly when it lands in `anchor`'s full shard, and
+/// admitted into an empty one.
+fn shares_shard_with(anchor: &str, question: &str) -> bool {
+    let probe = AnswerCache::with_capacity(AnswerCache::shard_count());
+    probe.insert(DbId::Fund, anchor, FP, "");
+    !probe.insert(DbId::Fund, question, FP, "").admitted
+}
+
 /// Claim 4, pinned rather than sampled: the adversarial one-shot flood.
 /// A key heated by repeated gets survives a flood of cold one-shot
-/// inserts under SLRU+TinyLFU (the flood keys lose the admission duel),
-/// while plain LRU provably evicts it (recency is all it sees).
+/// inserts (the flood keys lose the admission duel), and at least one
+/// flood key is turned away in the hot key's own shard, so its survival
+/// is not an accident of the hash layout.
 #[test]
-fn one_shot_flood_differential_between_policies() {
+fn one_shot_flood_keeps_the_hot_key() {
     let hot = "hot question";
     let hot_answer = "SELECT hot";
-    let mut survived = Vec::new();
-    for policy in CachePolicy::ALL {
-        // Capacity 16 = 1 entry per shard: the hot key's own shard can
-        // hold exactly one entry, so any admitted flood key that routes
-        // there must displace it.
-        let cache = AnswerCache::with_policy(16, policy);
-        cache.insert(DbId::Fund, hot, FP, hot_answer);
-        for _ in 0..6 {
-            assert!(cache.get(DbId::Fund, hot, FP).is_some(), "hot key warm-up must hit");
+    // Capacity 16 = 1 entry per shard: the hot key's own shard can hold
+    // exactly one entry, so any admitted flood key that routes there
+    // must displace it.
+    let cache = AnswerCache::with_capacity(16);
+    cache.insert(DbId::Fund, hot, FP, hot_answer);
+    for _ in 0..6 {
+        assert!(cache.get(DbId::Fund, hot, FP).is_some(), "hot key warm-up must hit");
+    }
+    // 64 cold keys: ~4 per shard in expectation, so the hot shard sees
+    // several flood candidates whatever the hash layout.
+    let mut turned_away_at_hot_shard = 0;
+    for k in 0..64 {
+        let q = format!("one shot flood {k}");
+        cache.get(DbId::Fund, &q, FP);
+        let outcome = cache.insert(DbId::Fund, &q, FP, format!("SELECT {k}"));
+        if !outcome.admitted && shares_shard_with(hot, &q) {
+            turned_away_at_hot_shard += 1;
         }
-        // 64 cold keys: ~4 per shard in expectation, so the hot shard
-        // sees several flood candidates whatever the hash layout.
-        for k in 0..64 {
-            let q = format!("one shot flood {k}");
-            cache.get(DbId::Fund, &q, FP);
-            cache.insert(DbId::Fund, &q, FP, format!("SELECT {k}"));
-        }
-        survived.push(cache.get(DbId::Fund, hot, FP).as_deref() == Some(hot_answer));
     }
     assert!(
-        !survived[0],
-        "plain LRU kept the hot key through a 4x-capacity one-shot flood — \
-         the adversarial scenario no longer discriminates"
+        turned_away_at_hot_shard > 0,
+        "no flood key reached the hot key's shard — the scenario no longer discriminates"
     );
-    assert!(
-        survived[1],
+    assert_eq!(
+        cache.get(DbId::Fund, hot, FP).as_deref(),
+        Some(hot_answer),
         "SLRU+TinyLFU lost the hot key to one-shot flood traffic — admission filtering failed"
     );
 }
 
-/// Claim 5: the cross-policy differential over a real trained system.
-/// The same dev slate served through a tightly capped LRU cache, a
-/// tightly capped SLRU+TinyLFU cache (admission rejections guaranteed by
-/// the cap), and fresh with no cache must be byte-identical everywhere.
+/// Claim 5: the differential over a real trained system. The same dev
+/// slate served through a tightly capped cache (admission rejections
+/// guaranteed by the cap) and fresh with no cache must be byte-identical
+/// everywhere.
 #[test]
-fn every_policy_serves_the_uncached_bytes() {
+fn capped_cache_serves_the_uncached_bytes() {
     static SYS: OnceLock<(bull::BullDataset, FinSql)> = OnceLock::new();
     let (ds, sys) = SYS.get_or_init(|| {
         let ds = bull::build(bull::DEFAULT_SEED);
@@ -244,26 +244,19 @@ fn every_policy_serves_the_uncached_bytes() {
         })
         .collect();
     let fresh: Vec<String> = slate.iter().map(|(db, q)| sys.answer_fresh(*db, q, None)).collect();
-    for policy in CachePolicy::ALL {
-        // Cap well below the slate so eviction (and, under SlruTinyLfu,
-        // admission rejection) actually fires mid-run.
-        let cache = AnswerCache::with_policy(16, policy);
-        for round in 0..3 {
-            for ((db, q), want) in slate.iter().zip(&fresh) {
-                let got = sys.answer_cached(&cache, *db, q, None);
-                assert_eq!(
-                    &*got, want,
-                    "{policy} diverged from the uncached path (round {round}, {db}: {q})"
-                );
-            }
-        }
-        let stats = cache.stats();
-        assert!(stats.evictions > 0, "{policy}: the cap must force evictions for this test");
-        if policy == CachePolicy::SlruTinyLfu {
-            assert!(
-                stats.admission_rejected > 0,
-                "SlruTinyLfu at 60-question slate vs 16-entry cap must reject some candidates"
-            );
+    // Cap well below the slate so eviction and admission rejection
+    // actually fire mid-run.
+    let cache = AnswerCache::with_capacity(16);
+    for round in 0..3 {
+        for ((db, q), want) in slate.iter().zip(&fresh) {
+            let got = sys.answer_cached(&cache, *db, q, None);
+            assert_eq!(&*got, want, "diverged from the uncached path (round {round}, {db}: {q})");
         }
     }
+    let stats = cache.stats();
+    assert!(stats.evictions > 0, "the cap must force evictions for this test");
+    assert!(
+        stats.admission_rejected > 0,
+        "a 60-question slate vs a 16-entry cap must reject some candidates"
+    );
 }

@@ -10,7 +10,7 @@
 
 use augment::AugmentationFlags;
 use bull::{DbId, Lang};
-use finsql_core::cache::{AnswerCache, CachePolicy, FingerprintBuilder};
+use finsql_core::cache::{AnswerCache, FingerprintBuilder};
 use finsql_core::pipeline::{fingerprint_config, fingerprint_profile, fingerprint_runtime};
 use finsql_core::{CalibrationConfig, FinSqlConfig};
 use proptest::prelude::*;
@@ -22,23 +22,17 @@ fn lang() -> impl Strategy<Value = Lang> {
     prop_oneof![Just(Lang::En), Just(Lang::Cn)]
 }
 
-fn cache_policy() -> impl Strategy<Value = CachePolicy> {
-    prop_oneof![Just(CachePolicy::Lru), Just(CachePolicy::SlruTinyLfu)]
-}
-
 fn config() -> impl Strategy<Value = FinSqlConfig> {
     (
         (lang(), any::<bool>(), any::<bool>(), any::<bool>(), 0usize..10, 0u64..1000),
         (any::<bool>(), any::<bool>(), any::<bool>()),
         (1usize..10, 1usize..16, 1usize..9, 0.0f64..2.0, 0u64..(u64::MAX / 2)),
-        cache_policy(),
     )
         .prop_map(
             |(
                 (lang, cot, synonyms, skeleton, synonyms_per_question, aug_seed),
                 (repair, self_consistency, alignment),
                 (k_tables, k_columns, n_candidates, temperature, seed),
-                cache_policy,
             )| FinSqlConfig {
                 lang,
                 augmentation: AugmentationFlags {
@@ -54,7 +48,6 @@ fn config() -> impl Strategy<Value = FinSqlConfig> {
                 n_candidates,
                 temperature,
                 seed,
-                cache_policy,
             },
         )
 }
@@ -116,20 +109,6 @@ proptest! {
     #[test]
     fn fingerprint_is_deterministic(c in config()) {
         prop_assert_eq!(fp(&c), fp(&c));
-    }
-
-    /// `cache_policy` is deliberately *not* an answer-affecting knob:
-    /// the eviction/admission policy can change only *which*
-    /// entries stay resident — hit or miss — never an answer's bytes, so
-    /// flipping it must keep every cached answer valid.
-    #[test]
-    fn cache_policy_does_not_move_the_fingerprint(c in config()) {
-        let mut flipped = c;
-        flipped.cache_policy = match c.cache_policy {
-            CachePolicy::Lru => CachePolicy::SlruTinyLfu,
-            CachePolicy::SlruTinyLfu => CachePolicy::Lru,
-        };
-        prop_assert_eq!(fp(&c), fp(&flipped));
     }
 
     /// Any single knob mutation changes the fingerprint — the property
@@ -287,18 +266,17 @@ proptest! {
         prop_assert_eq!(cache.stats().hits, 1u64, "the pre-bump key itself still serves");
     }
 
-    /// Under any capacity cap, policy, and insertion sequence, residency
+    /// Under any capacity cap and insertion sequence, residency
     /// never exceeds the cap's shard-rounded bound and the counters
     /// balance: entries == inserts - evictions (rejected candidates are
     /// counted separately, as `admission_rejected`, never as inserts).
     #[test]
     fn capped_cache_respects_capacity(
         cap in 1usize..40,
-        policy in cache_policy(),
         keys in proptest::collection::vec("[a-z]{1,12}", 1..80),
     ) {
         use finsql_core::ConfigFingerprint;
-        let cache = AnswerCache::with_policy(cap, policy);
+        let cache = AnswerCache::with_capacity(cap);
         let mut rejected = 0u64;
         for k in &keys {
             let outcome = cache.insert(DbId::Macro, k, ConfigFingerprint(7), k.to_uppercase());
@@ -315,9 +293,6 @@ proptest! {
         // (duplicate keys refresh in place: admitted, but not an insert).
         prop_assert_eq!(stats.admission_rejected, rejected);
         prop_assert!(stats.inserts + rejected <= keys.len() as u64);
-        if policy == CachePolicy::Lru {
-            prop_assert_eq!(stats.admission_rejected, 0u64, "plain LRU never rejects");
-        }
         // Whatever is resident is correct.
         for k in &keys {
             if let Some(v) = cache.get(DbId::Macro, k, ConfigFingerprint(7)) {

@@ -1,23 +1,17 @@
-//! Serial and parallel schema-linking inference.
+//! Per-question schema-linking inference and the shared ranking.
 //!
 //! The paper's point: serialising a 390-column schema through the encoder
-//! one element at a time is slow and overflows context limits; batching
-//! per table and scoring tables concurrently is fast. `serial` scores
-//! tables one after another; `parallel` fans the per-table work out over
-//! crossbeam scoped threads.
+//! one element at a time is slow and overflows context limits; scoring
+//! per-table inputs as one batch is fast. [`CrossEncoder::link`] scores
+//! one question's tables one after another, re-deriving every pair
+//! feature from strings. It is the reference that the batched sweep,
+//! [`CrossEncoder::link_batch`] over a precomputed
+//! [`SchemaFeatureMatrix`](crate::SchemaFeatureMatrix), is tested
+//! against bit for bit.
 
 use crate::features::QuestionView;
 use crate::model::{CrossEncoder, SchemaViews};
 use sqlkit::catalog::CatalogSchema;
-
-/// How to run inference over the tables of a schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InferenceMode {
-    /// One table after another (the baseline the paper criticises).
-    Serial,
-    /// All tables scored concurrently in scoped threads.
-    Parallel,
-}
 
 /// The ranked output of schema linking for one question.
 #[derive(Debug, Clone)]
@@ -29,78 +23,24 @@ pub struct LinkedSchema {
 }
 
 impl CrossEncoder {
-    /// Scores every table and column of a schema for a question.
-    pub fn link(
-        &self,
-        question: &str,
-        views: &SchemaViews,
-        mode: InferenceMode,
-    ) -> LinkedSchema {
+    /// Scores every table and column of a schema for a question, one
+    /// table after another.
+    pub fn link(&self, question: &str, views: &SchemaViews) -> LinkedSchema {
         let q = QuestionView::new(question);
-        let n = views.tables.len();
-        let mut table_scores = vec![0.0f32; n];
-        let mut column_scores: Vec<Vec<f32>> =
-            views.columns.iter().map(|c| vec![0.0; c.len()]).collect();
-        match mode {
-            InferenceMode::Serial => {
-                for ti in 0..n {
-                    let (ts, cs) = self.score_one_table(&q, views, ti);
-                    table_scores[ti] = ts;
-                    column_scores[ti] = cs;
-                }
-            }
-            InferenceMode::Parallel => {
-                // One logical batch entry per table, processed by a pool of
-                // scoped worker threads. Thread start-up costs tens of
-                // microseconds, so the pool is sized to keep several
-                // tables' worth of scoring per worker.
-                let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-                let workers = cores.min(n.div_ceil(8)).max(1);
-                let next = std::sync::atomic::AtomicUsize::new(0);
-                let results: Vec<std::sync::Mutex<(f32, Vec<f32>)>> =
-                    (0..n).map(|_| std::sync::Mutex::new((0.0, Vec::new()))).collect();
-                crossbeam::scope(|scope| {
-                    for _ in 0..workers.min(n.max(1)) {
-                        scope.spawn(|_| loop {
-                            let ti = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if ti >= n {
-                                break;
-                            }
-                            let out = self.score_one_table(&q, views, ti);
-                            // INVARIANT: one worker claims each `ti` via
-                            // the atomic counter, so the lock is never
-                            // poisoned by a holder of the same cell.
-                            *results[ti].lock().unwrap() = out;
-                        });
-                    }
-                })
-                // INVARIANT: a worker panic invalidates the scores; the
-                // scope join re-raises it here by design.
-                .expect("worker thread panicked");
-                for (ti, cell) in results.into_iter().enumerate() {
-                    // INVARIANT: the scope ended, so no thread holds any
-                    // cell lock and into_inner cannot see poisoning
-                    // (a worker panic already propagated above).
-                    let (ts, cs) = cell.into_inner().unwrap();
-                    table_scores[ti] = ts;
-                    column_scores[ti] = cs;
-                }
-            }
-        }
+        let table_scores = views.tables.iter().map(|tv| self.score_table(&q, tv)).collect();
+        let column_scores = views
+            .columns
+            .iter()
+            .map(|cols| cols.iter().map(|cv| self.score_column(&q, cv)).collect())
+            .collect();
         rank_scores(table_scores, column_scores)
-    }
-
-    fn score_one_table(&self, q: &QuestionView, views: &SchemaViews, ti: usize) -> (f32, Vec<f32>) {
-        let ts = self.score_table(q, &views.tables[ti]);
-        let cs = views.columns[ti].iter().map(|cv| self.score_column(q, cv)).collect();
-        (ts, cs)
     }
 }
 
 /// Ranks raw per-element scores into a [`LinkedSchema`]: descending
 /// score, ties broken by ascending index. Shared by the per-question
-/// paths and [`CrossEncoder::link_batch`], so every linking path applies
-/// the identical tie-break.
+/// [`CrossEncoder::link`] and [`CrossEncoder::link_batch`], so both
+/// linking paths apply the identical tie-break.
 pub(crate) fn rank_scores(
     table_scores: Vec<f32>,
     column_scores: Vec<Vec<f32>>,
@@ -204,22 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree() {
-        let s = schema(20);
-        let views = SchemaViews::build(&s, Lang::En);
-        let m = CrossEncoder::new(Lang::En);
-        let a = m.link("measure 3 of topic7", &views, InferenceMode::Serial);
-        let b = m.link("measure 3 of topic7", &views, InferenceMode::Parallel);
-        assert_eq!(a.tables, b.tables);
-        assert_eq!(a.columns, b.columns);
-    }
-
-    #[test]
     fn projection_keeps_top_k() {
         let s = schema(10);
         let views = SchemaViews::build(&s, Lang::En);
         let m = CrossEncoder::new(Lang::En);
-        let linked = m.link("topic3", &views, InferenceMode::Serial);
+        let linked = m.link("topic3", &views);
         let p = linked.project(&s, 3, 5);
         assert_eq!(p.tables.len(), 3);
         assert!(p.tables.iter().all(|t| t.columns.len() <= 5));
@@ -232,7 +161,7 @@ mod tests {
         let m = CrossEncoder::new(Lang::En);
         // Fresh model: every score is 0.5, so ranking must fall back to
         // index order.
-        let linked = m.link("anything", &views, InferenceMode::Parallel);
+        let linked = m.link("anything", &views);
         let order: Vec<usize> = linked.tables.iter().map(|(i, _)| *i).collect();
         assert_eq!(order, (0..8).collect::<Vec<_>>());
     }

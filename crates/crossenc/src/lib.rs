@@ -10,10 +10,14 @@
 //! Our Cross-Encoder is a real trainable model: hashed lexical-overlap
 //! features between the question and each table/column description feed a
 //! logistic scorer per table and per column, trained with SGD on the
-//! gold linking labels from the training split. Inference offers a
-//! `serial` path (one table at a time, the baseline the paper criticises)
-//! and a `parallel` path (crossbeam scoped threads, one batch entry per
-//! table) whose speedup the `linking_parallel` bench measures.
+//! gold linking labels from the training split. Inference offers two
+//! paths with bitwise-equal scores: per-question [`CrossEncoder::link`]
+//! (one table at a time, features re-derived from strings, the
+//! reference) and [`CrossEncoder::link_batch`], one sweep over a
+//! precomputed [`SchemaFeatureMatrix`] that scores every table of every
+//! question in a batch. The batched sweep is this crate's analogue of
+//! the paper's parallel batch; the `linking_parallel` bench measures it
+//! against the per-table path.
 
 #![forbid(unsafe_code)]
 
@@ -24,7 +28,7 @@ pub mod metrics;
 pub mod model;
 pub mod train;
 
-pub use infer::{InferenceMode, LinkedSchema};
+pub use infer::LinkedSchema;
 pub use matrix::{QuestionFeatures, SchemaFeatureMatrix};
 pub use model::CrossEncoder;
 pub use train::{LinkExample, TrainConfig};

@@ -306,7 +306,6 @@ impl CrossEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::InferenceMode;
     use crate::train::{train, LinkExample, TrainConfig};
     use sqlkit::catalog::{CatalogColumn, CatalogSchema, CatalogTable, ColType, Lang};
 
@@ -368,10 +367,7 @@ mod tests {
         let batched = model.link_batch(&questions, &matrix);
         assert_eq!(batched.len(), questions.len());
         for (q, linked) in questions.iter().zip(&batched) {
-            let serial = model.link(q, &views, InferenceMode::Serial);
-            assert_linked_eq(&serial, linked);
-            let parallel = model.link(q, &views, InferenceMode::Parallel);
-            assert_linked_eq(&parallel, linked);
+            assert_linked_eq(&model.link(q, &views), linked);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Linking-quality metrics: AUC (paper Table 6) and recall@k (Table 7).
 
-use crate::infer::{InferenceMode, LinkedSchema};
+use crate::infer::LinkedSchema;
 use crate::model::{CrossEncoder, SchemaViews};
 use crate::train::LinkExample;
 use sqlkit::catalog::CatalogSchema;
@@ -63,7 +63,7 @@ pub fn evaluate(
     let mut column_hits = vec![0usize; column_ks.len()];
     for ex in examples {
         let schema = schemas[ex.schema_idx];
-        let linked = model.link(&ex.question, &views[ex.schema_idx], InferenceMode::Parallel);
+        let linked = model.link(&ex.question, &views[ex.schema_idx]);
         collect_scored(schema, ex, &linked, &mut table_scored, &mut column_scored);
         for (ki, &k) in table_ks.iter().enumerate() {
             if tables_covered(schema, ex, &linked, k) {

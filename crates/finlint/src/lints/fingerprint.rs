@@ -20,14 +20,10 @@ use crate::source::SourceFile;
 
 /// Fields that are *proven* not to affect answers and therefore legally
 /// absent from the fingerprint. Each entry needs a property test pinning
-/// the claim down (see `crates/core/tests/fingerprint_prop.rs`):
-///
-/// - `cache_policy`: the eviction/admission policy decides which entries
-///   stay resident — it can turn a hit into a miss, never change an
-///   answer's bytes (`cache_policy_does_not_move_the_fingerprint`, plus
-///   the cross-policy differential suite in
-///   `crates/core/tests/cache_policy_prop.rs`).
-pub const NOT_FINGERPRINTED: &[&str] = &["cache_policy"];
+/// the claim down (see `crates/core/tests/fingerprint_prop.rs`). Empty:
+/// every `FinSqlConfig` field can change an answer, so every field is
+/// fingerprinted.
+pub const NOT_FINGERPRINTED: &[&str] = &[];
 
 /// `DbRuntime` fields legally absent from `config_fingerprint` because
 /// they are pure functions of state that *is* fingerprinted — rebuild
@@ -221,23 +217,32 @@ mod tests {
     const COVERED: &str = "\
 pub struct FinSqlConfig {
     pub k_tables: usize,
-    pub cache_policy: CachePolicy,
+    pub log_level: u8,
 }
 pub fn fingerprint_config(b: FingerprintBuilder, config: &FinSqlConfig) -> FingerprintBuilder {
     b.push_usize(config.k_tables)
 }
 ";
 
+    /// The fixture's allowlist: `log_level` stands in for a field proven
+    /// answer-neutral.
+    const ALLOWLIST: &[&str] = &["log_level"];
+
+    fn check_covered(src: &str) -> Vec<Finding> {
+        let file = SourceFile::parse("p.rs", "core", src);
+        check_named(&file, "FinSqlConfig", "fingerprint_config", "config", ALLOWLIST)
+    }
+
     #[test]
     fn covered_struct_is_clean() {
-        let f = check(&SourceFile::parse("p.rs", "core", COVERED));
+        let f = check_covered(COVERED);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn missing_field_is_flagged() {
         let src = COVERED.replace("pub k_tables: usize,", "pub k_tables: usize,\n    pub rogue: u8,");
-        let f = check(&SourceFile::parse("p.rs", "core", &src));
+        let f = check_covered(&src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("rogue"));
     }
@@ -246,9 +251,9 @@ pub fn fingerprint_config(b: FingerprintBuilder, config: &FinSqlConfig) -> Finge
     fn allowlisted_but_pushed_is_stale() {
         let src = COVERED.replace(
             "b.push_usize(config.k_tables)",
-            "b.push_usize(config.k_tables).push_usize(config.cache_policy as usize)",
+            "b.push_usize(config.k_tables).push_usize(config.log_level as usize)",
         );
-        let f = check(&SourceFile::parse("p.rs", "core", &src));
+        let f = check_covered(&src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("stale"));
     }

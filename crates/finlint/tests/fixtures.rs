@@ -45,16 +45,28 @@ fn determinism_clean_is_quiet() {
     assert!(f.is_empty(), "{f:#?}");
 }
 
+/// The fingerprint fixtures' allowlist: `log_level` stands in for a
+/// config field proven answer-neutral.
+fn fingerprint_fixture_check(name: &str) -> Vec<Finding> {
+    lints::fingerprint::check_named(
+        &fixture(name),
+        "FinSqlConfig",
+        "fingerprint_config",
+        "config",
+        &["log_level"],
+    )
+}
+
 #[test]
 fn fingerprint_violation_flags_the_uncovered_field() {
-    let f = lints::fingerprint::check(&fixture("fingerprint_violation.rs"));
+    let f = fingerprint_fixture_check("fingerprint_violation.rs");
     assert_eq!(f.len(), 1, "{f:#?}");
     assert!(f[0].message.contains("synthetic_knob"), "{f:#?}");
 }
 
 #[test]
 fn fingerprint_clean_is_quiet() {
-    let f = lints::fingerprint::check(&fixture("fingerprint_clean.rs"));
+    let f = fingerprint_fixture_check("fingerprint_clean.rs");
     assert!(f.is_empty(), "{f:#?}");
 }
 

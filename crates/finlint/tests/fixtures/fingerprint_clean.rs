@@ -1,9 +1,10 @@
-//! Fixture: every FinSqlConfig field fingerprinted except the
-//! allowlisted `cache_policy`. Not compiled — parsed by `tests/fixtures.rs`.
+//! Fixture: every FinSqlConfig field fingerprinted except `log_level`,
+//! which the fixture test allowlists. Not compiled — parsed by
+//! `tests/fixtures.rs`.
 pub struct FinSqlConfig {
     pub k_tables: usize,
     pub seed: u64,
-    pub cache_policy: CachePolicy,
+    pub log_level: u8,
 }
 
 pub fn fingerprint_config(b: FingerprintBuilder, config: &FinSqlConfig) -> FingerprintBuilder {

@@ -6,13 +6,12 @@
 //!
 //! ```text
 //! finsqld [--addr 127.0.0.1:4150] [--budget 256] [--cache-cap 0]
-//!         [--cache-policy slru-tinylfu|lru] [--workers 2] [--batch 8]
-//!         [--flush-us 2000] [--queue-cap 256]
+//!         [--workers 2] [--batch 8] [--flush-us 2000] [--queue-cap 256]
 //! ```
 
 use bull::Lang;
 use finsql_core::batch::BatchConfig;
-use finsql_core::cache::{AnswerCache, CachePolicy};
+use finsql_core::cache::AnswerCache;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use finsql_serve::{ServeConfig, Server};
 use std::sync::atomic::AtomicBool;
@@ -23,7 +22,6 @@ struct Opts {
     addr: String,
     budget: usize,
     cache_cap: usize,
-    cache_policy: CachePolicy,
     workers: usize,
     batch: usize,
     flush_us: u64,
@@ -36,7 +34,6 @@ impl Default for Opts {
             addr: "127.0.0.1:4150".to_string(),
             budget: 256,
             cache_cap: 0,
-            cache_policy: CachePolicy::default(),
             workers: 2,
             batch: 8,
             flush_us: 2000,
@@ -46,8 +43,7 @@ impl Default for Opts {
 }
 
 const USAGE: &str = "usage: finsqld [--addr A] [--budget N] [--cache-cap N] \
-                     [--cache-policy P] [--workers N] [--batch N] [--flush-us N] \
-                     [--queue-cap N]";
+                     [--workers N] [--batch N] [--flush-us N] [--queue-cap N]";
 
 /// `Ok(None)` means `--help` was asked: print usage and exit 0.
 fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
@@ -68,11 +64,6 @@ fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
                 opts.cache_cap = value("--cache-cap")?
                     .parse()
                     .map_err(|e| format!("--cache-cap: {e}"))?
-            }
-            "--cache-policy" => {
-                let v = value("--cache-policy")?;
-                opts.cache_policy = CachePolicy::parse(&v)
-                    .ok_or_else(|| format!("--cache-policy: unknown policy {v:?}"))?;
             }
             "--workers" => {
                 opts.workers = value("--workers")?
@@ -114,7 +105,7 @@ fn run() -> Result<(), String> {
         &simllm::profiles::LLAMA2_13B,
         FinSqlConfig::standard(Lang::En),
     ));
-    let cache = Arc::new(AnswerCache::with_policy(opts.cache_cap, opts.cache_policy));
+    let cache = Arc::new(AnswerCache::with_capacity(opts.cache_cap));
 
     let config = ServeConfig {
         max_in_flight: opts.budget.max(1),

@@ -1,11 +1,10 @@
-//! Parallel schema linking: from a 420-column database to a concise
-//! prompt schema in one parallel Cross-Encoder pass.
+//! Schema linking: from a 420-column database to a concise prompt
+//! schema in one batched Cross-Encoder sweep over every table.
 //!
 //! Run with: `cargo run --release --example schema_linking`
 
 use bull::{DbId, Lang};
 use crossenc::model::SchemaViews;
-use crossenc::InferenceMode;
 use finsql_core::pipeline::train_linker;
 use finsql_core::render_schema;
 use textenc::approx_token_count;
@@ -19,11 +18,12 @@ fn main() {
     let views = SchemaViews::build(schema, Lang::En);
     let question = "Which companies in the Banks industry have the 3 highest closing prices?";
 
+    let matrix = linker.schema_matrix(&views);
     let t0 = std::time::Instant::now();
-    let linked = linker.link(question, &views, InferenceMode::Parallel);
-    let parallel_time = t0.elapsed();
+    let linked = linker.link_batch(&[question], &matrix).swap_remove(0);
+    let batched_time = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let _ = linker.link(question, &views, InferenceMode::Serial);
+    let _ = linker.link(question, &views);
     let serial_time = t1.elapsed();
 
     println!("\nQ: {question}");
@@ -35,5 +35,5 @@ fn main() {
     let full_tokens = approx_token_count(&render_schema(schema, Lang::En));
     let pruned_tokens = approx_token_count(&render_schema(&pruned, Lang::En));
     println!("\nprompt size: {full_tokens} tokens (full schema) → {pruned_tokens} tokens (linked)");
-    println!("linking latency: serial {serial_time:?} vs parallel {parallel_time:?}");
+    println!("linking latency: per-table {serial_time:?} vs batched sweep {batched_time:?}");
 }

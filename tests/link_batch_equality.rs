@@ -1,8 +1,8 @@
 //! Batched-linking equivalence: `CrossEncoder::link_batch` over the
 //! precomputed [`SchemaFeatureMatrix`] must reproduce the per-question
 //! `link` output *bitwise* — same element order and bit-identical f32
-//! scores — for arbitrary question subsets, at every batch size, in both
-//! per-question inference modes, on every database's trained linker.
+//! scores — for arbitrary question subsets, at every batch size, on
+//! every database's trained linker.
 //!
 //! Bitwise equality (not approximate) is the property the whole serving
 //! layer leans on: the ranking feeds the projection key that lets
@@ -10,7 +10,7 @@
 //! batched answer is *the* answer.
 
 use bull::{DbId, Lang, Split};
-use crossenc::{InferenceMode, LinkedSchema};
+use crossenc::LinkedSchema;
 use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use proptest::prelude::*;
 use simllm::profiles::LLAMA2_13B;
@@ -43,8 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `link_batch` equals per-question `link` bitwise, on arbitrary
-    /// question subsets (duplicates included) of every database, against
-    /// both the serial and the parallel per-question reference.
+    /// question subsets (duplicates included) of every database.
     #[test]
     fn link_batch_matches_link_bitwise(
         indices in proptest::collection::vec(0usize..200, 1..16),
@@ -59,10 +58,7 @@ proptest! {
         let batched = sys.linker.link_batch(&questions, &rt.link_matrix);
         prop_assert_eq!(batched.len(), questions.len());
         for (q, got) in questions.iter().zip(&batched) {
-            for mode in [InferenceMode::Serial, InferenceMode::Parallel] {
-                let reference = sys.linker.link(q, &rt.views, mode);
-                assert_bitwise_eq(got, &reference, q);
-            }
+            assert_bitwise_eq(got, &sys.linker.link(q, &rt.views), q);
         }
     }
 
