@@ -12,8 +12,10 @@
 //! omission). Every `Ok` payload is compared byte-for-byte against a
 //! fresh uncached reference minted before any server starts; a mismatch
 //! is a stale response and fails the run. `Busy` responses are the
-//! admission controller shedding load — counted and reported, never
-//! wrong.
+//! admission controller shedding misses — counted and reported, never
+//! wrong. Each served request must have looked the cache up exactly once
+//! (cache hits + misses == served); the hits among them were answered on
+//! the driver (`driver_hits`).
 //!
 //! Flags: `--serve-secs F` (offered seconds of traffic per rate, default
 //! 1.0), `--serve-population N` (unique questions, default 1024),
@@ -65,6 +67,7 @@ struct RateOutcome {
     /// Sorted open-loop latencies of served requests, ns.
     latency_ns: Vec<u64>,
     wall: Duration,
+    driver_hits: u64,
     cache_hits: u64,
     cache_misses: u64,
 }
@@ -231,6 +234,12 @@ fn run_rate(
         "STATS must agree with the lifetime report: {stats}"
     );
     let cache_stats = cache.stats();
+    assert_eq!(
+        cache_stats.hits + cache_stats.misses,
+        report.served,
+        "every served request looks the cache up exactly once, and a shed one never"
+    );
+    assert_eq!(report.driver_hits, cache_stats.hits, "every hit is answered on the driver");
     RateOutcome {
         offered_qps: rate,
         requests,
@@ -240,6 +249,7 @@ fn run_rate(
         stale,
         latency_ns,
         wall,
+        driver_hits: report.driver_hits,
         cache_hits: cache_stats.hits,
         cache_misses: cache_stats.misses,
     }
@@ -271,7 +281,6 @@ fn main() {
     let config = ServeConfig {
         batch: BatchConfig {
             max_batch: if opts.plan.batch > 0 { opts.plan.batch } else { 8 },
-            flush: Duration::from_micros(200),
             workers: if opts.plan.workers > 0 { opts.plan.workers } else { 4 },
             queue_cap: 256,
         },
@@ -318,8 +327,8 @@ fn main() {
             "    {{\"offered_qps\": {:.0}, \"requests\": {}, \"served\": {}, \
              \"busy_rejected\": {}, \"shutdown_rejected\": {}, \"stale\": {}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \
-             \"wall_secs\": {:.3}, \"achieved_qps\": {:.1}, \"cache_hits\": {}, \
-             \"cache_misses\": {}}}",
+             \"wall_secs\": {:.3}, \"achieved_qps\": {:.1}, \"driver_hits\": {}, \
+             \"cache_hits\": {}, \"cache_misses\": {}}}",
             out.offered_qps,
             out.requests,
             out.served,
@@ -331,6 +340,7 @@ fn main() {
             out.quantile_us(0.999),
             out.wall.as_secs_f64(),
             out.achieved_qps(),
+            out.driver_hits,
             out.cache_hits,
             out.cache_misses,
         ));

@@ -6,9 +6,11 @@
 //! from a seeded RNG and replayed against a capped cache, with the
 //! question population a multiple of the capacity so eviction pressure
 //! is real. Reported per s: hit rate, admission/eviction counters,
-//! latency p50/p99/p999 from the scheduler-path histogram, throughput,
-//! stale-hit count (must be 0 — every answer is byte-checked against a
-//! fresh uncached reference) and the allocation-free-hit probe.
+//! latency p50/p99/p999 of the computed misses from the scheduler-path
+//! histogram (a hit is answered at submission and records none),
+//! throughput, stale-hit count (must be 0 — every answer is
+//! byte-checked against a fresh uncached reference) and the
+//! allocation-free-hit probe.
 //!
 //! Flags: `--traffic-requests N`, `--traffic-population N`,
 //! `--cache-cap N` (capacity; default 512), `--workers N` (submitter

@@ -3,9 +3,11 @@
 //! uncached library reference — the wire, the driver loop and the
 //! scheduler can change latency, never an answer; (2) the `STATS` verb
 //! counts every request; (3) garbage bytes are answered `BadFrame` and
-//! the connection is closed; (4) a pipelined burst against an admission
-//! budget of one is shed with `Busy`, never queued unboundedly and never
-//! answered wrong; and (5) both servers drain and join cleanly. Exits
+//! the connection is closed; (4) a pipelined burst of uncached questions
+//! against an admission budget of one is shed with `Busy`, never queued
+//! unboundedly and never answered wrong, while a pipelined burst of
+//! questions the server already answered is answered `Ok` in full on
+//! the driver; and (5) both servers drain and join cleanly. Exits
 //! non-zero on any violation.
 
 use bench::traffic::{build_population, reference_answers};
@@ -99,12 +101,7 @@ fn main() {
         None,
         ServeConfig {
             max_in_flight: 1,
-            batch: BatchConfig {
-                max_batch: 1,
-                flush: Duration::from_micros(1),
-                workers: 1,
-                queue_cap: 1,
-            },
+            batch: BatchConfig { max_batch: 1, workers: 1, queue_cap: 1 },
             ..ServeConfig::default()
         },
     )
@@ -131,10 +128,56 @@ fn main() {
     assert!(ok >= 1, "at least the slot-holder is served");
     assert!(busy >= 1, "a 12-deep burst against budget 1 must shed");
     assert_eq!(ok + busy, burst, "every request gets exactly one response");
+
+    // 3. Hits take no in-flight slot: warm a few questions one at a time,
+    // then send, in one write, an uncached question that takes the one
+    // slot and a burst of the warm ones behind it. Every reply is Ok and
+    // byte-identical; the burst is answered on the driver.
+    let warm = 3;
+    for ((db, question), reference) in population.iter().zip(&refs).take(warm) {
+        let (status, answer) = client.ask(*db, question).expect("ask");
+        assert_eq!(status, Status::Ok, "under budget: {db:?}: {question}");
+        assert_eq!(&answer, reference, "{db:?}: {question}");
+    }
+    let hit_burst = 24u64;
+    let slot_holder = "how many funds exist (smoke slot holder)";
+    let mut bytes = Frame::request(hit_burst, DbId::Fund.index() as u8, slot_holder).encode();
+    for i in 0..hit_burst {
+        let (db, question) = &population[i as usize % warm];
+        bytes.extend_from_slice(&Frame::request(i, db.index() as u8, question).encode());
+    }
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect the hit burst");
+    stream.write_all(&bytes).expect("pipelined burst");
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 4096];
+    let mut answered = 0;
+    while answered <= hit_burst {
+        let n = stream.read(&mut buf).expect("read responses");
+        assert!(n > 0, "server closed the connection mid-burst");
+        decoder.push(&buf[..n]);
+        while let Some(frame) = decoder.next_frame().expect("well-formed responses") {
+            assert_eq!(frame.status(), Some(Status::Ok), "request {} was shed", frame.request_id);
+            if frame.request_id < hit_burst {
+                let reference = &refs[frame.request_id as usize % warm];
+                assert_eq!(frame.payload.as_slice(), reference.as_bytes(), "a hit is byte-identical");
+            }
+            answered += 1;
+        }
+    }
+    let served = ok + warm as u64 + 1 + hit_burst;
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats.contains(&format!("\"served\":{served},"))
+            && stats.contains(&format!("\"driver_hits\":{hit_burst},")),
+        "STATS must count every hit answered on the driver: {stats}"
+    );
     client.shutdown_server().expect("shutdown handshake");
     let report = handle.join().expect("server thread must exit cleanly");
-    assert_eq!(report.served, ok);
+    assert_eq!(report.served, served);
     assert_eq!(report.busy_rejected, busy);
-    println!("admission: {ok} served, {busy} shed with Busy under a budget of 1");
+    println!(
+        "admission: {ok} of {burst} uncached served, {busy} shed with Busy under a budget of 1; \
+         {hit_burst} of {hit_burst} cached answered on the driver"
+    );
     println!("smoke_serve: OK");
 }

@@ -199,10 +199,11 @@ impl PolicyOutcome {
 }
 
 /// Replays one minted schedule through the full scheduler path against a
-/// fresh cache capped at `spec.capacity`: `submitters` threads submit concurrently, workers
-/// coalesce micro-batches, the cache sits in front of the engine, and
-/// per-request latency (queue wait + batching window + compute) lands in
-/// the metrics histogram. Every answer is checked against `refs`.
+/// fresh cache capped at `spec.capacity`: `submitters` threads submit
+/// concurrently, each hit is answered at submission, workers coalesce
+/// the misses into micro-batches, and each miss's latency (queue wait +
+/// compute) lands in the metrics histogram. Every answer is checked
+/// against `refs`.
 pub fn run_policy(
     engine: &Arc<FinSql>,
     population: &[(DbId, String)],
@@ -222,7 +223,6 @@ pub fn run_policy(
             Some(Arc::clone(&metrics)),
             BatchConfig {
                 max_batch: spec.batch.max(1),
-                flush: Duration::from_micros(200),
                 workers: spec.submitters.max(1),
                 queue_cap: 256,
             },

@@ -29,12 +29,14 @@
 //! and in every grouping — which is what makes the [`BatchScheduler`]'s
 //! coalescing safe and keeps cached answers exact.
 //!
-//! [`BatchScheduler`] is the serving front-end: a bounded MPMC queue and
-//! a worker pool that coalesces concurrent requests into micro-batches —
-//! from *any* database, up to a configurable size, holding an underfull
-//! batch open for a short flush deadline — routes questions through the
-//! answer cache first so only misses reach the engine, and implements
-//! the [`Answerer`] trait. Mixed batches are split per database by
+//! [`BatchScheduler`] is the serving front-end and implements the
+//! [`Answerer`] trait. A submission looks its question up in the answer
+//! cache once, on the submitting thread: a hit is answered there, and
+//! only a miss enters the bounded MPMC queue. A worker pool takes what
+//! is queued — from *any* database, up to a configurable size — and
+//! computes it at once, never waiting for a batch to fill ("smart
+//! batching": requests that arrive during a computation form the next
+//! batch). Mixed batches are split per database by
 //! [`FinSql::answer_batch_mixed`], so a worker never stalls waiting for
 //! same-database traffic to accumulate.
 
@@ -49,7 +51,7 @@ use sqlkit::catalog::CatalogSchema;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The linker's top-k selection for one question: the kept table indices
 /// in rank order, each with its kept column indices in rank order. Two
@@ -167,9 +169,9 @@ impl FinSql {
     /// without touching the engine, the misses are answered in one
     /// [`FinSql::answer_batch_with_metrics`] call and fill the cache.
     ///
-    /// Questions are any [`QuestionKey`]: the scheduler path passes the
-    /// queue's `Arc<str>` requests so a cache fill shares the submitted
-    /// allocation instead of copying the question bytes.
+    /// Questions are any [`QuestionKey`]: `Arc<str>` questions let a
+    /// cache fill share the caller's allocation instead of copying the
+    /// question bytes.
     pub fn answer_batch_cached<Q: QuestionKey>(
         &self,
         cache: &AnswerCache,
@@ -199,13 +201,7 @@ impl FinSql {
             let computed = self.answer_batch_with_metrics(db, &miss_questions, metrics);
             for (&i, answer) in misses.iter().zip(computed) {
                 let answer: Arc<str> = Arc::from(answer);
-                let outcome = cache.insert(db, &questions[i], fingerprint, Arc::clone(&answer));
-                if let Some(m) = metrics {
-                    m.record_cache_miss(outcome.evicted);
-                    if !outcome.admitted {
-                        m.record_admission_rejected();
-                    }
-                }
+                cache.fill_miss(db, &questions[i], fingerprint, &answer, metrics);
                 out[i] = Some(answer);
             }
         }
@@ -288,11 +284,10 @@ impl FinSql {
 /// Knobs of the [`BatchScheduler`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Most questions coalesced into one micro-batch.
+    /// Most questions coalesced into one micro-batch. A worker takes what
+    /// is queued, up to this many, and computes it at once; it never
+    /// holds a batch open waiting for more.
     pub max_batch: usize,
-    /// How long a worker holds an underfull batch open waiting for more
-    /// requests before flushing it.
-    pub flush: Duration,
     /// Worker threads draining the queue.
     pub workers: usize,
     /// Bounded queue capacity; submissions block while the queue is full.
@@ -301,12 +296,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 8,
-            flush: Duration::from_millis(2),
-            workers: 2,
-            queue_cap: 256,
-        }
+        BatchConfig { max_batch: 8, workers: 2, queue_cap: 256 }
     }
 }
 
@@ -351,10 +341,10 @@ impl ResponseSlot {
 /// failure: no request was enqueued and no answer was computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity. The caller decides the policy:
-    /// the serving front-end sheds load with a `Busy` response, a batch
-    /// caller may retry or fall back to the blocking
-    /// [`BatchScheduler::submit`].
+    /// The bounded queue is at capacity and the question is not cached.
+    /// The caller decides the policy: the serving front-end sheds load
+    /// with a `Busy` response, a batch caller may retry or fall back to
+    /// the blocking [`BatchScheduler::submit`].
     QueueFull,
     /// The scheduler is shutting down and accepts no new work. Requests
     /// already queued are still drained and answered.
@@ -372,27 +362,46 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A claim on one submitted request's future answer.
-///
-/// Obtained from [`BatchScheduler::submit`]/[`BatchScheduler::try_submit`];
-/// redeem it either by blocking ([`Ticket::wait`]) or by polling
-/// ([`Ticket::try_answer`]) — the shape the non-blocking serving loop
-/// needs, where a connection driver polls tickets between socket events
-/// instead of parking a thread per request.
-pub struct Ticket {
-    slot: Arc<ResponseSlot>,
+/// What a submission returns: the answer itself when the question was
+/// cached, else a claim on the answer a worker will compute.
+pub enum Ticket {
+    /// A cache hit, answered on the submitting thread: nothing was
+    /// queued and no worker woke.
+    Hit(Arc<str>),
+    /// A miss, queued for a worker.
+    Queued(Claim),
 }
 
 impl Ticket {
-    /// The answer, if a worker has already delivered it. Returns
-    /// `Some` exactly once; never blocks.
+    /// The answer, blocking until a worker delivers it when the request
+    /// was queued. Always terminates: a queued request is answered even
+    /// during shutdown (the workers drain the queue before exiting).
+    pub fn wait(self) -> Arc<str> {
+        match self {
+            Ticket::Hit(answer) => answer,
+            Ticket::Queued(claim) => claim.wait(),
+        }
+    }
+}
+
+/// A claim on one queued request's future answer.
+///
+/// Redeem it either by blocking ([`Claim::wait`]) or by polling
+/// ([`Claim::try_answer`]) — the shape the non-blocking serving loop
+/// needs, where a connection driver polls claims between socket events
+/// instead of parking a thread per request.
+pub struct Claim {
+    slot: Arc<ResponseSlot>,
+}
+
+impl Claim {
+    /// The answer, if a worker has already delivered it. Returns `Some`
+    /// exactly once; never blocks.
     pub fn try_answer(&self) -> Option<Arc<str>> {
         self.slot.try_take()
     }
 
-    /// Blocks until the answer is ready. Always terminates: a submitted
-    /// request is answered even during shutdown (the workers drain the
-    /// queue before exiting).
+    /// Blocks until a worker delivers the answer.
     pub fn wait(self) -> Arc<str> {
         self.slot.wait()
     }
@@ -403,10 +412,8 @@ struct Request {
     db: DbId,
     question: Arc<str>,
     slot: Arc<ResponseSlot>,
-    /// When the request entered the queue. The flush deadline of the
-    /// batch this request opens is anchored here, not at worker pop —
-    /// otherwise time spent waiting in the queue silently extends the
-    /// flush window.
+    /// When the request entered the queue: the answer latency recorded
+    /// in the metrics sink runs from here.
     enqueued: Instant,
 }
 
@@ -415,6 +422,21 @@ struct Request {
 struct QueueState {
     items: VecDeque<Request>,
     shutdown: bool,
+}
+
+impl QueueState {
+    /// Enqueues one miss and returns the claim on its answer. The caller
+    /// has checked shutdown and room under the same lock.
+    fn push(&mut self, db: DbId, question: Arc<str>) -> Claim {
+        let slot = Arc::new(ResponseSlot::default());
+        self.items.push_back(Request {
+            db,
+            question,
+            slot: Arc::clone(&slot),
+            enqueued: Instant::now(),
+        });
+        Claim { slot }
+    }
 }
 
 #[derive(Default)]
@@ -431,18 +453,53 @@ struct Shared {
     engine: Arc<FinSql>,
     cache: Option<Arc<AnswerCache>>,
     metrics: Option<Arc<EvalMetrics>>,
+    /// The engine's fingerprint, computed once: the scheduler holds an
+    /// `Arc<FinSql>`, which cannot absorb appends, so it cannot move.
+    fingerprint: ConfigFingerprint,
     config: BatchConfig,
     queue: Queue,
 }
 
+impl Shared {
+    /// The one cache lookup of a submission, recording a hit in the
+    /// metrics sink. `count_absent` false makes an absent key leave no
+    /// trace ([`AnswerCache::get_resident`]), for a caller that would
+    /// refuse the miss rather than queue it.
+    fn lookup(&self, db: DbId, question: &str, count_absent: bool) -> Option<Arc<str>> {
+        let cache = self.cache.as_deref()?;
+        let hit = if count_absent {
+            cache.get(db, question, self.fingerprint)
+        } else {
+            cache.get_resident(db, question, self.fingerprint)
+        }?;
+        if let Some(m) = self.metrics.as_deref() {
+            m.record_cache_hit();
+        }
+        Some(hit)
+    }
+
+    /// Refuses once shutdown began; otherwise whether the queue has room.
+    fn has_room(&self) -> Result<bool, SubmitError> {
+        // INVARIANT: a poisoned queue lock means a worker panicked
+        // holding it; the queue state is unrecoverable, so propagate.
+        let state = self.queue.state.lock().expect("queue lock poisoned");
+        if state.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        Ok(state.items.len() < self.config.queue_cap)
+    }
+}
+
 /// A micro-batching request scheduler in front of a [`FinSql`] engine.
 ///
-/// Requests from any thread are pushed onto one bounded queue; workers
-/// pop a request, then coalesce further requests — from *any* database —
-/// into a micro-batch, up to [`BatchConfig::max_batch`], holding an
-/// underfull batch open for at most [`BatchConfig::flush`], and answer
-/// the whole batch through [`FinSql::answer_batch_mixed`], which splits
-/// it per database inside the engine. Because batching cannot change an
+/// A submission first looks its question up in the cache, on the
+/// submitting thread: a hit is answered there and then, and only a miss
+/// is pushed onto the one bounded queue. Workers take what is queued —
+/// from *any* database — up to [`BatchConfig::max_batch`], answer it at
+/// once through [`FinSql::answer_batch_mixed`] (which splits the batch
+/// per database inside the engine), and fill the cache. A worker never
+/// waits for a batch to grow: requests that arrive while it computes
+/// are what the next batch coalesces. Because batching cannot change an
 /// answer (module docs), coalescing is invisible to callers: every
 /// request gets exactly the answer a lone [`FinSql::answer`] call would
 /// have produced.
@@ -455,10 +512,10 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// Starts a scheduler over an engine, an optional answer cache for
-    /// cache-first routing, and an optional metrics sink the workers
-    /// record into (per-call sinks cannot cross the queue, so the sink is
-    /// fixed at construction).
+    /// Starts a scheduler over an engine, an optional answer cache looked
+    /// up at submission and filled by the workers, and an optional
+    /// metrics sink (per-call sinks cannot cross the queue, so the sink
+    /// is fixed at construction).
     pub fn new(
         engine: Arc<FinSql>,
         cache: Option<Arc<AnswerCache>>,
@@ -469,9 +526,16 @@ impl BatchScheduler {
             max_batch: config.max_batch.max(1),
             workers: config.workers.max(1),
             queue_cap: config.queue_cap.max(1),
-            ..config
         };
-        let shared = Arc::new(Shared { engine, cache, metrics, config, queue: Queue::default() });
+        let fingerprint = engine.config_fingerprint();
+        let shared = Arc::new(Shared {
+            engine,
+            cache,
+            metrics,
+            fingerprint,
+            config,
+            queue: Queue::default(),
+        });
         let workers = (0..config.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -481,24 +545,39 @@ impl BatchScheduler {
         BatchScheduler { shared, workers }
     }
 
-    /// Submits one question without blocking: the request is either
-    /// enqueued (returning a [`Ticket`]) or refused immediately —
-    /// [`SubmitError::QueueFull`] when the bounded queue is at capacity,
-    /// [`SubmitError::ShuttingDown`] after [`BatchScheduler::shutdown`]
-    /// began. This is how the bounded queue exerts backpressure to the
-    /// wire: the serving front-end calls this from its event loop and
-    /// turns `QueueFull` into a `Busy` response instead of parking a
-    /// driver thread.
+    /// Submits one question without blocking. A cache hit is answered at
+    /// once ([`Ticket::Hit`]); a miss is either queued
+    /// ([`Ticket::Queued`]) or refused — [`SubmitError::QueueFull`] when
+    /// the bounded queue is at capacity, [`SubmitError::ShuttingDown`]
+    /// after [`BatchScheduler::shutdown`] began. This is how the bounded
+    /// queue exerts backpressure to the wire: the serving front-end calls
+    /// this from its event loop and turns `QueueFull` into a `Busy`
+    /// response instead of parking a driver thread.
     ///
-    /// Pass an `Arc<str>` question to intern it end to end: the queue,
-    /// the cache key and the response all share that one allocation.
-    pub fn try_submit(
-        &self,
-        db: DbId,
-        question: impl Into<Arc<str>>,
-    ) -> Result<Ticket, SubmitError> {
-        let slot = Arc::new(ResponseSlot::default());
-        {
+    /// The question is looked up once. Room is checked before that
+    /// lookup, so a refused miss leaves no trace in the cache: a full
+    /// queue still answers a hit, and counts nothing for an absent key.
+    /// Only another thread submitting concurrently can fill the queue
+    /// between the check and the push; the serving driver is its
+    /// scheduler's only producer.
+    ///
+    /// The question's `Arc<str>` is made only for a miss. Pass an
+    /// `Arc<str>` to intern it end to end: the queue entry and the cache
+    /// key then share that one allocation.
+    pub fn try_submit<Q>(&self, db: DbId, question: Q) -> Result<Ticket, SubmitError>
+    where
+        Q: QuestionKey + Into<Arc<str>>,
+    {
+        if !self.shared.has_room()? {
+            return match self.shared.lookup(db, question.as_str(), false) {
+                Some(hit) => Ok(Ticket::Hit(hit)),
+                None => Err(SubmitError::QueueFull),
+            };
+        }
+        if let Some(hit) = self.shared.lookup(db, question.as_str(), true) {
+            return Ok(Ticket::Hit(hit));
+        }
+        let claim = {
             // INVARIANT: a poisoned queue lock means a worker panicked
             // holding it; the queue state is unrecoverable, so propagate.
             let mut state = self.shared.queue.state.lock().expect("queue lock poisoned");
@@ -508,27 +587,26 @@ impl BatchScheduler {
             if state.items.len() >= self.shared.config.queue_cap {
                 return Err(SubmitError::QueueFull);
             }
-            state.items.push_back(Request {
-                db,
-                question: question.into(),
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            });
-        }
+            state.push(db, question.into())
+        };
         self.shared.queue.not_empty.notify_one();
-        Ok(Ticket { slot })
+        Ok(Ticket::Queued(claim))
     }
 
-    /// Submits one question, blocking while the queue is full. Fails only
-    /// with [`SubmitError::ShuttingDown`] once shutdown has begun (a
-    /// full queue blocks; it never errors here).
-    pub fn submit(
-        &self,
-        db: DbId,
-        question: impl Into<Arc<str>>,
-    ) -> Result<Ticket, SubmitError> {
-        let slot = Arc::new(ResponseSlot::default());
-        {
+    /// Submits one question: a cache hit is answered at once, a miss is
+    /// queued, blocking while the queue is full. Fails only with
+    /// [`SubmitError::ShuttingDown`] once shutdown has begun (a full
+    /// queue blocks; it never errors here).
+    pub fn submit<Q>(&self, db: DbId, question: Q) -> Result<Ticket, SubmitError>
+    where
+        Q: QuestionKey + Into<Arc<str>>,
+    {
+        // A scheduler that began shutdown refuses before any lookup.
+        self.shared.has_room()?;
+        if let Some(hit) = self.shared.lookup(db, question.as_str(), true) {
+            return Ok(Ticket::Hit(hit));
+        }
+        let claim = {
             // INVARIANT: a poisoned queue lock means a worker panicked
             // holding it; the queue state is unrecoverable, so propagate.
             let mut state = self.shared.queue.state.lock().expect("queue lock poisoned");
@@ -542,15 +620,18 @@ impl BatchScheduler {
                 // INVARIANT: poisoning, as above — propagate the panic.
                 state = self.shared.queue.not_full.wait(state).expect("queue lock poisoned");
             }
-            state.items.push_back(Request {
-                db,
-                question: question.into(),
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            });
-        }
+            state.push(db, question.into())
+        };
         self.shared.queue.not_empty.notify_one();
-        Ok(Ticket { slot })
+        Ok(Ticket::Queued(claim))
+    }
+
+    /// Looks a question up for a caller that will not queue a miss — the
+    /// serving front-end over its in-flight budget. A hit is counted and
+    /// returned as under [`BatchScheduler::try_submit`]; an absent key
+    /// leaves no trace in the cache.
+    pub fn lookup_hit(&self, db: DbId, question: &str) -> Option<Arc<str>> {
+        self.shared.lookup(db, question, false)
     }
 
     /// Submits one question and blocks until its answer is ready. Safe to
@@ -588,12 +669,12 @@ impl BatchScheduler {
 
 impl Answerer for BatchScheduler {
     fn fingerprint(&self) -> ConfigFingerprint {
-        self.shared.engine.config_fingerprint()
+        self.shared.fingerprint
     }
 
-    /// Submits through the queue. The scheduler already routes through
-    /// its own cache (when given one) before computing, and records into
-    /// its construction-time metrics sink; the per-call `metrics`
+    /// Submits through the scheduler, which looks the question up in its
+    /// own cache (when given one) before queueing a miss, and records
+    /// into its construction-time metrics sink; the per-call `metrics`
     /// argument cannot cross the queue and is ignored.
     fn answer_fresh(&self, db: DbId, question: &str, _metrics: Option<&EvalMetrics>) -> String {
         self.answer(db, question).as_ref().to_owned()
@@ -606,76 +687,41 @@ impl Drop for BatchScheduler {
     }
 }
 
-/// One worker: pop a request, coalesce followers from any database up to
-/// the batch cap or the flush deadline, answer the mixed batch, fill the
-/// slots. On shutdown the queue is drained completely before the worker
-/// exits, so no submitted request is ever dropped.
+/// One worker: take what is queued, up to the batch cap, from any
+/// database; answer the mixed batch at once; fill the cache with each
+/// answer and then its slot. Every request here already missed the
+/// cache at submission, so the worker never looks one up. On shutdown
+/// the queue is drained completely before the worker exits, so no
+/// queued request is ever dropped.
 fn worker_loop(shared: &Shared) {
     loop {
-        let first = {
+        let batch: Vec<Request> = {
             // INVARIANT: a poisoned queue lock means a sibling panicked
             // holding it; the queue state is unrecoverable, so propagate.
             let mut state = shared.queue.state.lock().expect("queue lock poisoned");
-            loop {
-                if let Some(request) = state.items.pop_front() {
-                    shared.queue.not_full.notify_all();
-                    break request;
-                }
+            while state.items.is_empty() {
                 if state.shutdown {
                     return;
                 }
                 // INVARIANT: poisoning, as above — propagate the panic.
                 state = shared.queue.not_empty.wait(state).expect("queue lock poisoned");
             }
+            let take = state.items.len().min(shared.config.max_batch);
+            let batch = state.items.drain(..take).collect();
+            shared.queue.not_full.notify_all();
+            batch
         };
-        // The flush window is anchored to when the batch's first request
-        // was *enqueued*, not to when this worker got around to popping
-        // it: a request that already waited its window in the queue is
-        // flushed immediately instead of waiting a second full window,
-        // and every request is answered at most `flush` after arrival
-        // (plus compute) regardless of worker scheduling.
-        let deadline = first.enqueued + shared.config.flush;
-        // finlint: alloc — one batch Vec per flush window, amortised
-        // over up to max_batch requests.
-        let mut batch = vec![first];
-        {
-            // INVARIANT: a poisoned queue lock means a sibling panicked
-            // holding it; the queue state is unrecoverable, so propagate.
-            let mut state = shared.queue.state.lock().expect("queue lock poisoned");
-            while batch.len() < shared.config.max_batch {
-                if let Some(request) = state.items.pop_front() {
-                    batch.push(request);
-                    shared.queue.not_full.notify_all();
-                    continue;
-                }
-                if state.shutdown {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared
-                    .queue
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    // INVARIANT: poisoning, as above — propagate the panic.
-                    .expect("queue lock poisoned");
-                state = guard;
-            }
-        }
-        // Clone the interned question Arcs (refcount bumps): passing the
-        // `Arc<str>` keys through the cache-first path lets a cache fill
-        // share the submitted allocation instead of copying the bytes.
-        let requests: Vec<(DbId, Arc<str>)> =
-            batch.iter().map(|r| (r.db, Arc::clone(&r.question))).collect();
+        let requests: Vec<(DbId, &str)> = batch.iter().map(|r| (r.db, &*r.question)).collect();
         let metrics = shared.metrics.as_deref();
-        let answers =
-            shared.engine.answer_batch_mixed(shared.cache.as_deref(), &requests, metrics);
+        let answers = shared.engine.answer_batch_mixed(None, &requests, metrics);
         for (request, answer) in batch.iter().zip(answers) {
+            if let Some(cache) = shared.cache.as_deref() {
+                // The fill shares the submitted `Arc<str>` as its key.
+                cache.fill_miss(request.db, &request.question, shared.fingerprint, &answer, metrics);
+            }
             if let Some(m) = metrics {
-                // Scheduler-path latency: queue wait + batching window +
-                // compute, anchored at enqueue time.
+                // Scheduler-path latency: queue wait + compute, anchored
+                // at enqueue time.
                 m.record_answer_latency(request.enqueued.elapsed());
             }
             request.slot.put(answer);

@@ -133,13 +133,13 @@ fn key_hash(db: DbId, question: &str, fingerprint: ConfigFingerprint) -> u64 {
 /// optionally carrying an already-interned `Arc<str>` allocation the
 /// cache can share on insert instead of copying the question bytes.
 ///
-/// The scheduler's request path interns each question once at submit
-/// time and threads that `Arc<str>` all the way to the cache fill, so an
-/// admitted insert is a refcount bump of the caller's allocation — the
-/// no-clone invariant `bench::traffic::key_interning_probe` asserts with
-/// `Arc::ptr_eq`. Plain `&str`/`String` callers fall back to one copy at
-/// admission time (and only then — a rejected or resident insert never
-/// copies).
+/// The scheduler interns each question it queues (a miss) once at
+/// submit time and threads that `Arc<str>` all the way to the cache
+/// fill, so an admitted insert is a refcount bump of the caller's
+/// allocation — the no-clone invariant
+/// `bench::traffic::key_interning_probe` asserts with `Arc::ptr_eq`.
+/// Plain `&str`/`String` callers fall back to one copy at admission time
+/// (and only then — a rejected or resident insert never copies).
 pub trait QuestionKey {
     /// The question text, borrowed.
     fn as_str(&self) -> &str;
@@ -401,7 +401,8 @@ impl Shard {
     }
 
     /// Looks the key up, recording the lookup in the frequency sketch
-    /// (hit or miss — TinyLFU counts *requests*, not residency).
+    /// (TinyLFU counts *requests*, not residency). A hit is always
+    /// recorded; an absent key only when `count_absent` holds.
     fn get(
         &mut self,
         h: u64,
@@ -409,11 +410,15 @@ impl Shard {
         question: &str,
         fingerprint: ConfigFingerprint,
         ctx: PolicyCtx,
+        count_absent: bool,
     ) -> Option<Refreshed> {
-        if let Some(sketch) = self.sketch.as_mut() {
-            sketch.record(h);
+        let found = self.refresh(h, db, question, fingerprint, ctx);
+        if found.is_some() || count_absent {
+            if let Some(sketch) = self.sketch.as_mut() {
+                sketch.record(h);
+            }
         }
-        self.refresh(h, db, question, fingerprint, ctx)
+        found
     }
 
     /// Demotes protected LRU entries back to probation (as its MRU)
@@ -715,10 +720,35 @@ impl AnswerCache {
         question: &str,
         fingerprint: ConfigFingerprint,
     ) -> Option<Arc<str>> {
+        self.lookup(db, question, fingerprint, true)
+    }
+
+    /// [`AnswerCache::get`] for a caller that will not compute a miss: a
+    /// resident key is a hit exactly as under `get`, but an absent key
+    /// leaves no trace — no miss counted, no frequency-sketch record. The
+    /// serving path asks this when it would shed a miss anyway (over its
+    /// in-flight budget, or with the scheduler queue full), so a shed
+    /// request never moves the cache.
+    pub fn get_resident(
+        &self,
+        db: DbId,
+        question: &str,
+        fingerprint: ConfigFingerprint,
+    ) -> Option<Arc<str>> {
+        self.lookup(db, question, fingerprint, false)
+    }
+
+    fn lookup(
+        &self,
+        db: DbId,
+        question: &str,
+        fingerprint: ConfigFingerprint,
+        count_absent: bool,
+    ) -> Option<Arc<str>> {
         let h = key_hash(db, question, fingerprint);
         let idx = (h % self.shards.len() as u64) as usize;
         let ctx = self.ctx();
-        let found = self.shards[idx].lock().get(h, db, question, fingerprint, ctx);
+        let found = self.shards[idx].lock().get(h, db, question, fingerprint, ctx, count_absent);
         match found {
             Some(refreshed) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -729,7 +759,9 @@ impl AnswerCache {
                 Some(refreshed.answer)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                if count_absent {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
@@ -774,6 +806,26 @@ impl AnswerCache {
             ShardInsert::Rejected => {
                 self.admission_rejected.fetch_add(1, Ordering::Relaxed);
                 InsertOutcome { admitted: false, evicted: 0 }
+            }
+        }
+    }
+
+    /// Fills the answer a miss just computed and records the miss in the
+    /// metrics sink, with the fill's evictions and any TinyLFU admission
+    /// rejection: the one fill path of every cache-first caller.
+    pub(crate) fn fill_miss<Q: QuestionKey + ?Sized>(
+        &self,
+        db: DbId,
+        question: &Q,
+        fingerprint: ConfigFingerprint,
+        answer: &Arc<str>,
+        metrics: Option<&EvalMetrics>,
+    ) {
+        let outcome = self.insert(db, question, fingerprint, Arc::clone(answer));
+        if let Some(m) = metrics {
+            m.record_cache_miss(outcome.evicted);
+            if !outcome.admitted {
+                m.record_admission_rejected();
             }
         }
     }
@@ -868,13 +920,7 @@ pub trait Answerer: Sync {
             return hit;
         }
         let answer: Arc<str> = Arc::from(self.answer_fresh(db, question, metrics));
-        let outcome = cache.insert(db, question, fingerprint, Arc::clone(&answer));
-        if let Some(m) = metrics {
-            m.record_cache_miss(outcome.evicted);
-            if !outcome.admitted {
-                m.record_admission_rejected();
-            }
-        }
+        cache.fill_miss(db, question, fingerprint, &answer, metrics);
         answer
     }
 
@@ -959,6 +1005,28 @@ mod tests {
         // The probe is inert: no hit/miss counted, no recency touched.
         assert_eq!(cache.stats().hits + cache.stats().misses, 0);
         assert_eq!(cache.interned_key(DbId::Fund, "absent", fp(1)), None);
+    }
+
+    #[test]
+    fn get_resident_counts_and_records_only_a_hit() {
+        let cache = AnswerCache::with_capacity(64);
+        let h = key_hash(DbId::Fund, "q", fp(0));
+        let estimate = |cache: &AnswerCache| {
+            let shard = cache.shards[shard_index(DbId::Fund, "q", fp(0))].lock();
+            shard.sketch.as_ref().expect("a capped cache has a sketch").estimate(h)
+        };
+        // Absent: no miss counted, no sketch record.
+        assert_eq!(cache.get_resident(DbId::Fund, "q", fp(0)), None);
+        assert_eq!((cache.stats().hits, cache.stats().misses, estimate(&cache)), (0, 0, 0));
+        // A counting miss records the request; the fill makes it resident.
+        assert_eq!(cache.get(DbId::Fund, "q", fp(0)), None);
+        assert_eq!(estimate(&cache), 1);
+        cache.insert(DbId::Fund, "q", fp(0), "SELECT 1");
+        // Resident: a hit exactly as under `get` — counted, recorded in
+        // the sketch, promoted out of probation.
+        assert_eq!(cache.get_resident(DbId::Fund, "q", fp(0)).as_deref(), Some("SELECT 1"));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.promotions, estimate(&cache)), (1, 1, 1, 2));
     }
 
     #[test]

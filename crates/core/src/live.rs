@@ -35,7 +35,6 @@ use bull::{BullDataset, DbId, Split};
 use sqlengine::execution_accuracy;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Shape of one live-evaluation scenario.
 #[derive(Debug, Clone, Copy)]
@@ -301,7 +300,6 @@ pub fn evaluate_ex_live(
                 None,
                 BatchConfig {
                     max_batch: cfg.batch.max(1),
-                    flush: Duration::from_millis(2),
                     workers: cfg.workers.max(1),
                     queue_cap: 64,
                 },

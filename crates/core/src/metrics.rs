@@ -206,7 +206,9 @@ impl EvalMetrics {
     }
 
     /// Records one end-to-end answer latency, enqueue to answer. Only the
-    /// scheduler path records it; the engine records stage timers.
+    /// scheduler's workers record it, for the misses they compute; a hit
+    /// answered at submission was never queued and records none. The
+    /// engine records stage timers.
     pub fn record_answer_latency(&self, elapsed: Duration) {
         self.latency.record(elapsed);
     }
@@ -312,8 +314,8 @@ pub struct MetricsSnapshot {
     pub cache_evictions: u64,
     /// Cache fills rejected by the TinyLFU admission filter.
     pub admission_rejected: u64,
-    /// End-to-end answer latency distribution, enqueue to answer on the
-    /// scheduler path.
+    /// End-to-end answer latency distribution, enqueue to answer, of the
+    /// requests the scheduler queued (its cache misses).
     pub latency: HistogramSnapshot,
     /// Micro-batches answered through the batched engine.
     pub batches: u64,

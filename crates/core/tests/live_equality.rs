@@ -25,7 +25,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 const SEED: u64 = bull::DEFAULT_SEED;
 
@@ -202,7 +201,6 @@ impl Harness {
                 None,
                 BatchConfig {
                     max_batch: batch,
-                    flush: Duration::from_millis(2),
                     workers,
                     queue_cap: 64,
                 },

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! finsqld [--addr 127.0.0.1:4150] [--budget 256] [--cache-cap 0]
-//!         [--workers 2] [--batch 8] [--flush-us 2000] [--queue-cap 256]
+//!         [--workers 2] [--batch 8] [--queue-cap 256]
 //! ```
 
 use bull::Lang;
@@ -16,7 +16,6 @@ use finsql_core::pipeline::{FinSql, FinSqlConfig};
 use finsql_serve::{ServeConfig, Server};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Opts {
     addr: String,
@@ -24,7 +23,6 @@ struct Opts {
     cache_cap: usize,
     workers: usize,
     batch: usize,
-    flush_us: u64,
     queue_cap: usize,
 }
 
@@ -36,14 +34,13 @@ impl Default for Opts {
             cache_cap: 0,
             workers: 2,
             batch: 8,
-            flush_us: 2000,
             queue_cap: 256,
         }
     }
 }
 
 const USAGE: &str = "usage: finsqld [--addr A] [--budget N] [--cache-cap N] \
-                     [--workers N] [--batch N] [--flush-us N] [--queue-cap N]";
+                     [--workers N] [--batch N] [--queue-cap N]";
 
 /// `Ok(None)` means `--help` was asked: print usage and exit 0.
 fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
@@ -73,11 +70,6 @@ fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
             "--batch" => {
                 opts.batch =
                     value("--batch")?.parse().map_err(|e| format!("--batch: {e}"))?
-            }
-            "--flush-us" => {
-                opts.flush_us = value("--flush-us")?
-                    .parse()
-                    .map_err(|e| format!("--flush-us: {e}"))?
             }
             "--queue-cap" => {
                 opts.queue_cap = value("--queue-cap")?
@@ -111,7 +103,6 @@ fn run() -> Result<(), String> {
         max_in_flight: opts.budget.max(1),
         batch: BatchConfig {
             max_batch: opts.batch.max(1),
-            flush: Duration::from_micros(opts.flush_us),
             workers: opts.workers.max(1),
             queue_cap: opts.queue_cap.max(1),
         },
@@ -124,8 +115,10 @@ fn run() -> Result<(), String> {
     let stop = AtomicBool::new(false);
     let report = server.run(&stop);
     println!(
-        "finsqld: served={} busy={} bad_frames={} shutdown_rejected={} connections={}",
+        "finsqld: served={} driver_hits={} busy={} bad_frames={} shutdown_rejected={} \
+         connections={}",
         report.served,
+        report.driver_hits,
         report.busy_rejected,
         report.bad_frames,
         report.shutdown_rejected,

@@ -4,25 +4,35 @@
 //! The workspace vendors every dependency and forbids `unsafe`, so there
 //! is no epoll/mio: the event loop polls non-blocking sockets in rounds —
 //! accept until `WouldBlock`, read/decode/dispatch per connection, poll
-//! outstanding [`Ticket`]s, flush write buffers — and sleeps briefly only
-//! when a full round did no work. One driver thread therefore serves any
-//! number of connections; no thread is ever parked per request.
+//! outstanding answer [`Claim`]s, flush write buffers — and sleeps
+//! briefly only when a full round did no work. One driver thread
+//! therefore serves any number of connections; no thread is ever parked
+//! per request.
 //!
-//! **Admission control.** Requests occupy one in-flight slot from decode
-//! until their response bytes are queued. Over budget —
+//! **Admission control.** A cache hit is answered in the round that
+//! decoded it: the scheduler looks the question up once, on the driver
+//! thread, and the `Ok` reply is queued at once — no in-flight slot, no
+//! queue crossing, no worker wake-up. A miss occupies one in-flight slot
+//! from decode until its response bytes are queued. Over budget —
 //! [`ServeConfig::max_in_flight`] reached, or the scheduler's bounded
-//! queue refuses with [`SubmitError::QueueFull`] — the request is
-//! answered [`Status::Busy`] immediately: load is shed at the wire, a
-//! `Busy` is never a wrong answer, and the bounded MPMC queue's
-//! backpressure reaches the client instead of blocking the driver.
+//! queue refuses with [`SubmitError::QueueFull`] — a miss is answered
+//! [`Status::Busy`] immediately and leaves no trace in the cache, while
+//! a hit is still answered: load is shed at the wire, a `Busy` is never
+//! a wrong answer, the bounded MPMC queue's backpressure reaches the
+//! client instead of blocking the driver, and a driver stall that leaves
+//! a backlog of decoded frames sheds only the misses in it. A hit's
+//! reply may overtake an earlier miss on the same connection; every
+//! reply carries its request's id.
 //!
-//! **Byte identity.** The scheduler path is reused unchanged, so every
-//! `Ok` answer is byte-identical to the library path ([`FinSql::answer`]
-//! — the property `bench_serve` re-checks over real sockets).
+//! **Byte identity.** A hit returns the cached `Arc<str>` a worker would
+//! have returned, and a miss takes the scheduler path unchanged, so
+//! every `Ok` answer is byte-identical to the library path
+//! ([`FinSql::answer`] — the property `bench_serve` re-checks over real
+//! sockets).
 
 use crate::wire::{encode_response_into, Frame, FrameDecoder, Kind, Status};
 use bull::DbId;
-use finsql_core::batch::{BatchConfig, BatchScheduler, SubmitError, Ticket};
+use finsql_core::batch::{BatchConfig, BatchScheduler, Claim, SubmitError, Ticket};
 use finsql_core::cache::AnswerCache;
 use finsql_core::metrics::{EvalMetrics, HistogramSnapshot, LatencyHistogram};
 use finsql_core::pipeline::FinSql;
@@ -37,16 +47,17 @@ use std::time::{Duration, Instant};
 /// Knobs of one [`Server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Admission budget: most requests simultaneously between decode and
-    /// response enqueue. Beyond it every request is answered
-    /// [`Status::Busy`] without touching the scheduler.
+    /// Admission budget: most cache misses simultaneously between decode
+    /// and response enqueue. Beyond it a miss is answered
+    /// [`Status::Busy`] without being queued; a hit holds no slot and is
+    /// still answered.
     pub max_in_flight: usize,
     /// A connection whose write buffer backs up past this many bytes is
     /// not read from until the peer drains it — per-connection
     /// backpressure with bounded memory.
     pub write_buf_cap: usize,
     /// How long the driver sleeps after a round in which no socket was
-    /// readable, no ticket resolved and no byte was written.
+    /// readable, no claim resolved and no byte was written.
     pub idle_sleep: Duration,
     /// The scheduler the server feeds.
     pub batch: BatchConfig,
@@ -69,8 +80,11 @@ impl Default for ServeConfig {
 pub struct ServeReport {
     /// Requests answered [`Status::Ok`].
     pub served: u64,
-    /// Requests shed with [`Status::Busy`] (admission budget or queue
-    /// full).
+    /// Of `served`, the cache hits answered in the round that decoded
+    /// them, without an in-flight slot or a worker.
+    pub driver_hits: u64,
+    /// Cache misses shed with [`Status::Busy`] (admission budget or
+    /// queue full).
     pub busy_rejected: u64,
     /// Frames rejected as [`Status::BadFrame`] (protocol violations).
     pub bad_frames: u64,
@@ -117,12 +131,12 @@ impl Conn {
     }
 }
 
-/// One admitted request awaiting its scheduler answer.
+/// One admitted miss awaiting its scheduler answer.
 struct Pending {
     conn_id: u64,
     request_id: u64,
     flags: u8,
-    ticket: Ticket,
+    claim: Claim,
     received: Instant,
 }
 
@@ -279,10 +293,10 @@ impl Server {
                 conns.remove(&conn_id);
             }
 
-            // 3. Poll outstanding tickets; completed answers are framed
+            // 3. Poll outstanding claims; completed answers are framed
             // onto their connection's write buffer.
             pending.retain(|p| {
-                let Some(answer) = p.ticket.try_answer() else { return true };
+                let Some(answer) = p.claim.try_answer() else { return true };
                 self.latency.record(p.received.elapsed());
                 self.report.served += 1;
                 progressed = true;
@@ -329,7 +343,7 @@ impl Server {
             }
             if !progressed {
                 // finlint: blocking — idle backoff: the loop naps only
-                // when no socket, frame or ticket made progress this
+                // when no socket, frame or claim made progress this
                 // round, so no admitted request is ever behind the sleep.
                 std::thread::sleep(self.config.idle_sleep);
             }
@@ -388,31 +402,42 @@ fn dispatch(
                 conn.closing = true;
                 return;
             };
-            if pending.len() >= max_in_flight {
-                report.busy_rejected += 1;
-                conn.queue_response(request_id, Status::Busy, flags, "");
-                return;
-            }
-            // One allocation for the whole request lifetime: queue,
-            // cache key and response all share this Arc.
-            let question: Arc<str> = Arc::from(question);
-            match scheduler.try_submit(db, question) {
-                Ok(ticket) => pending.push(Pending {
-                    conn_id,
-                    request_id,
-                    flags,
-                    ticket,
-                    received: Instant::now(),
-                }),
-                Err(SubmitError::QueueFull) => {
+            let received = Instant::now();
+            let hit = if pending.len() < max_in_flight {
+                // The scheduler looks the question up once and queues only
+                // a miss, interning it into the one `Arc<str>` its queue
+                // entry and cache fill share.
+                match scheduler.try_submit(db, question) {
+                    Ok(Ticket::Hit(answer)) => answer,
+                    Ok(Ticket::Queued(claim)) => {
+                        pending.push(Pending { conn_id, request_id, flags, claim, received });
+                        return;
+                    }
+                    Err(SubmitError::QueueFull) => {
+                        report.busy_rejected += 1;
+                        conn.queue_response(request_id, Status::Busy, flags, "");
+                        return;
+                    }
+                    Err(SubmitError::ShuttingDown) => {
+                        report.shutdown_rejected += 1;
+                        conn.queue_response(request_id, Status::Shutdown, flags, "");
+                        return;
+                    }
+                }
+            } else {
+                // Over budget: a hit needs no slot, and a miss is shed
+                // without a trace in the cache.
+                let Some(answer) = scheduler.lookup_hit(db, &question) else {
                     report.busy_rejected += 1;
                     conn.queue_response(request_id, Status::Busy, flags, "");
-                }
-                Err(SubmitError::ShuttingDown) => {
-                    report.shutdown_rejected += 1;
-                    conn.queue_response(request_id, Status::Shutdown, flags, "");
-                }
-            }
+                    return;
+                };
+                answer
+            };
+            latency.record(received.elapsed());
+            report.served += 1;
+            report.driver_hits += 1;
+            conn.queue_response(request_id, Status::Ok, flags, &hit);
         }
         Kind::Stats => {
             // STATS is an operator verb: one JSON build per explicit
@@ -438,10 +463,11 @@ fn dispatch(
 /// registry dep), nanosecond quantiles from the serving histogram.
 pub fn stats_json(report: &ServeReport, in_flight: usize, latency: &HistogramSnapshot) -> String {
     format!(
-        "{{\"served\":{},\"busy_rejected\":{},\"bad_frames\":{},\"shutdown_rejected\":{},\
+        "{{\"served\":{},\"driver_hits\":{},\"busy_rejected\":{},\"bad_frames\":{},\"shutdown_rejected\":{},\
          \"connections\":{},\"in_flight\":{},\"latency\":{{\"count\":{},\"p50_ns\":{},\
          \"p99_ns\":{},\"p999_ns\":{}}}}}",
         report.served,
+        report.driver_hits,
         report.busy_rejected,
         report.bad_frames,
         report.shutdown_rejected,
